@@ -9,6 +9,7 @@ to stderr; with a fixed seed every run is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -203,7 +204,10 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main() call shares it."""
     ap = argparse.ArgumentParser(
         prog="hahnseries",
         description="exact generalised power series arithmetic, family "

@@ -16,6 +16,7 @@ from .groups import (
     GroupElement,
     generates_whole_group,
     group_zero,
+    raw_ops,
     subgroup_contains,
     unit_sample,
 )
@@ -333,29 +334,43 @@ def _check_region_family(family: Family, condition: str,
     return _fails(witness, f"{{{witness}}} is a member but {{{-witness}}} is not")
 
 
-def _probe_elements(group, count):
-    zero = group_zero(group)
+def _probe_values(group, count):
+    """Raw values of 0, u, -u, 2u, -2u, ..., count*u, -count*u for the
+    unit sample u."""
+    yield group_zero(group).value
     unit = unit_sample(group)
-    probe = [zero]
     if unit is not None:
+        _, neg, scale = raw_ops(group)
         for k in range(1, count + 1):
-            probe.extend([unit.scale(k), -unit.scale(k)])
-    return probe
+            g = scale(unit.value, k)
+            yield g
+            yield neg(g)
 
 
 def _member_union_generators(family: Family) -> list[GroupElement]:
-    gens = []
-    for m in family.members:
-        gens.extend(m)
-    return gens
+    return list(dict.fromkeys(p for m in family.members for p in m))
 
 
 def _check_explicit_family(family: Family, condition: str,
                            budget: SearchBudget) -> Verdict:
+    """Brute force over the members, on the family's raw member index.
+
+    Members are visited in the order of ``family.members``; only the
+    witness that is returned gets boxed.  S3 and A2 build symmetric
+    results from a pair of members, so they visit each unordered pair
+    once: the first missing result in row order always comes from a pair
+    (a, b) with a no later than b.
+    """
     group = family.group
-    zero = group_zero(group)
-    members = set(family.members)
+    zero = group_zero(group).value
+    members = family.raw_member_set
+    raw_members = family.raw_members
+    indexed = tuple(zip(family.members, raw_members))
+    add, neg, scale = raw_ops(group)
     rule = "brute-force-over-members"
+
+    def boxed(values) -> SupportSet:
+        return SupportSet(group, tuple(GroupElement(group, v) for v in values))
 
     if condition == "S5":
         if members:
@@ -365,31 +380,31 @@ def _check_explicit_family(family: Family, condition: str,
     if condition == "S4":
         if (zero,) in members:
             return _holds(rule)
-        return _fails(_singleton(group, zero), "{0} is not a member")
+        return _fails(boxed((zero,)), "{0} is not a member")
 
     if condition == "S1":
-        for g in _probe_elements(group, len(members) + 1):
+        for g in _probe_values(group, len(members) + 1):
             if (g,) not in members:
+                g = GroupElement(group, g)
                 return _fails(_singleton(group, g), f"{{{g}}} is not a member")
         if unit_sample(group) is None:
             return _holds(rule)
         return _unknown("probe set exhausted without refutation")
 
     if condition == "S2":
-        for m in family.members:
-            for mask in range(1 << len(m)):
-                sub = tuple(p for i, p in enumerate(m) if mask >> i & 1)
-                if sub not in members:
+        for m, raw in indexed:
+            for mask in range(1 << len(raw)):
+                if tuple(p for i, p in enumerate(raw) if mask >> i & 1) not in members:
                     return _fails(
-                        SupportSet(group, sub),
+                        SupportSet(group, tuple(p for i, p in enumerate(m) if mask >> i & 1)),
                         f"subset of {{{','.join(map(str, m))}}} missing",
                     )
         return _holds(rule)
 
     if condition == "S6":
-        for m in family.members:
-            for k in range(len(m) + 1):
-                if m[:k] not in members:
+        for m, raw in indexed:
+            for k in range(len(raw) + 1):
+                if raw[:k] not in members:
                     return _fails(
                         SupportSet(group, m[:k]),
                         f"initial segment of {{{','.join(map(str, m))}}} missing",
@@ -397,11 +412,12 @@ def _check_explicit_family(family: Family, condition: str,
         return _holds(rule)
 
     if condition == "S3":
-        for a in family.members:
-            for b in family.members:
-                union = tuple(sorted(set(a) | set(b)))
+        sets = [frozenset(a) for a in raw_members]
+        for i, a in enumerate(sets):
+            for b in sets[i:]:
+                union = tuple(sorted(a | b))
                 if union not in members:
-                    return _fails(SupportSet(group, union), "union of members missing")
+                    return _fails(boxed(union), "union of members missing")
         return _holds(rule)
 
     if condition == "A1":
@@ -411,40 +427,39 @@ def _check_explicit_family(family: Family, condition: str,
         return _fails(witness, "outside the subgroup generated by the member union")
 
     if condition == "A2":
-        for a in family.members:
-            for b in family.members:
+        for i, a in enumerate(raw_members):
+            for b in raw_members[i:]:
                 if not a or not b:
                     total = ()
                 else:
-                    total = tuple(sorted({x + y for x in a for y in b}))
+                    total = tuple(sorted({add(x, y) for x in a for y in b}))
                 if total not in members:
-                    return _fails(
-                        SupportSet(group, total), "pairwise sum set missing"
-                    )
+                    return _fails(boxed(total), "pairwise sum set missing")
         return _holds(rule)
 
     if condition == "A3":
-        nonempty = [m for m in family.members if m]
+        nonempty = [raw for raw in raw_members if raw]
         if not nonempty:
             return _holds("only-the-empty-set-to-translate")
         unit = unit_sample(group)
         if unit is None:
             return _holds("trivial-group-translations")
-        for m in nonempty:
+        for raw in nonempty:
             for k in range(1, len(members) + 2):
-                shifted = tuple(p + unit.scale(k) for p in m)
+                shift = scale(unit.value, k)
+                shifted = tuple(add(p, shift) for p in raw)
                 if shifted not in members:
                     return _fails(
-                        SupportSet(group, shifted),
-                        f"member translated by {unit.scale(k)} is missing",
+                        boxed(shifted),
+                        f"member translated by {GroupElement(group, shift)} is missing",
                     )
         return _unknown("translation probes exhausted without refutation")
 
     if condition == "A4":
-        for m in family.members:
-            if any(p < zero for p in m):
+        for m, raw in indexed:
+            if any(p < zero for p in raw):
                 continue
-            if all(p.is_zero for p in m):
+            if all(p == zero for p in raw):
                 if (zero,) not in members:
                     return _fails(
                         SupportSet(group, m),
@@ -458,11 +473,9 @@ def _check_explicit_family(family: Family, condition: str,
         return _holds(rule)
 
     # A5
-    for m in family.members:
-        if len(m) == 1:
-            neg = (-m[0],)
-            if neg not in members:
-                return _fails(m[0], f"{{{m[0]}}} is a member but {{{-m[0]}}} is not")
+    for m, raw in indexed:
+        if len(raw) == 1 and (neg(raw[0]),) not in members:
+            return _fails(m[0], f"{{{m[0]}}} is a member but {{{-m[0]}}} is not")
     return _holds(rule)
 
 
@@ -486,6 +499,9 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
         return family_contains(family, ss, probe_horizon, budget)
 
     w = verdict.witness
+    raw_members = family.raw_members  # () for region families
+    add, neg, _ = raw_ops(group)
+    wraw = tuple(p.value for p in w.points) if isinstance(w, SupportSet) else None
     if condition == "S5":
         return not family.members if family.kind == EXPLICIT_FAMILY else False
     if condition in ("S1", "S4"):
@@ -493,21 +509,16 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
     if condition == "S2":
         if contains(w):
             return False
-        wset = w.as_set()
-        return any(wset <= set(m) for m in family.members)
+        return any(set(wraw).issubset(m) for m in raw_members)
     if condition == "S6":
         if contains(w):
             return False
-        return any(tuple(w.points) == m[: len(w.points)] for m in family.members)
+        return any(wraw == m[: len(wraw)] for m in raw_members)
     if condition == "S3":
         if contains(w):
             return False
-        wset = w.as_set()
-        for a in family.members:
-            for b in family.members:
-                if set(a) | set(b) == wset:
-                    return True
-        return False
+        wset = set(wraw)
+        return any(wset == set(a).union(b) for a in raw_members for b in raw_members)
     if condition == "A1":
         if family.kind == EXPLICIT_FAMILY:
             gens = _member_union_generators(family)
@@ -519,13 +530,13 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
     if condition == "A2":
         if contains(w):
             return False
-        wset = w.as_set()
         if family.kind == EXPLICIT_FAMILY:
-            for a in family.members:
-                for b in family.members:
-                    if a and b and {x + y for x in a for y in b} == wset:
-                        return True
-            return False
+            wset = set(wraw)
+            return any(
+                a and b and {add(x, y) for x in a for y in b} == wset
+                for a in raw_members for b in raw_members
+            )
+        wset = w.as_set()
         return any(
             {s + t} == wset
             for s in family.region.elements
@@ -535,10 +546,10 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
         if contains(w):
             return False
         if family.kind == EXPLICIT_FAMILY:
-            for m in family.members:
-                if len(m) == len(w.points) and m:
-                    shift = w.points[0] - m[0]
-                    if tuple(p + shift for p in m) == tuple(w.points):
+            for m in raw_members:
+                if len(m) == len(wraw) and m:
+                    shift = add(wraw[0], neg(m[0]))
+                    if tuple(add(p, shift) for p in m) == wraw:
                         return True
             return False
         sample = _region_sample(family.region, budget)
@@ -552,12 +563,8 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
         if closure.is_entire:
             return not contains(closure)
         if family.kind == EXPLICIT_FAMILY:
-            universe_top = max(
-                (p for m in family.members for p in m), default=None
-            )
-            return universe_top is None or any(
-                p > universe_top for p in closure.points
-            )
+            # a positive point makes the closure infinite; members are finite
+            return any(zero < p for p in w.points)
         if family.kind == FIN_FAMILY:
             return True  # a non-entire closure is not a finite set
         return any(

@@ -9,6 +9,7 @@ translation invariant.  Floating point never appears.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -175,6 +176,32 @@ def group_cmp(g: GroupElement, h: GroupElement) -> int:
     if g < h:
         return -1
     return 0 if g == h else 1
+
+
+def _lex_add(a: tuple, b: tuple) -> tuple:
+    return tuple(map(operator.add, a, b))
+
+
+def _lex_neg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
+
+
+def _lex_scale(a: tuple, n: int) -> tuple:
+    return tuple(n * x for x in a)
+
+
+def raw_ops(descriptor: GroupDescriptor):
+    """(add, neg, scale) on the raw values of the group's elements.
+
+    Raw values are what ``GroupElement.value`` holds: ints, Fractions,
+    int tuples for Z^n, 0 for the trivial group.  Python's native order on
+    them is the group order (tuples compare lexicographically), so loops
+    that only add, negate, compare and hash can skip the boxing.
+    ``scale(v, n)`` is the n-fold sum of v.
+    """
+    if descriptor.kind == LEX_KIND:
+        return _lex_add, _lex_neg, _lex_scale
+    return operator.add, operator.neg, operator.mul
 
 
 def _echelon_basis(rows: list[list[int]]) -> list[tuple[int, list[int]]]:

@@ -282,12 +282,14 @@ class EvaluationContext:
         self._complete_cache: dict[int, tuple[Series, GroupElement, TermList]] = {}
         self._exact_cache: dict[tuple[int, GroupElement], tuple[Series, TermList]] = {}
         self._inversions: dict[int, tuple[Series, InversionFactorization, Series]] = {}
+        self._vmin_bounds: dict[int, tuple[Series, GroupElement | None]] = {}
 
     def clone(self) -> EvaluationContext:
         other = EvaluationContext(self.horizon)
         other._complete_cache = dict(self._complete_cache)
         other._exact_cache = dict(self._exact_cache)
         other._inversions = dict(self._inversions)
+        other._vmin_bounds = dict(self._vmin_bounds)
         return other
 
     # -- public ---------------------------------------------------------
@@ -372,7 +374,17 @@ class EvaluationContext:
 
     def _vmin_bound(self, node: Series) -> GroupElement | None:
         """A guaranteed lower bound for min supp, or None when the node is
-        provably the zero series."""
+        provably the zero series.  Memoised per node, so a DAG with sharing
+        computes each bound once."""
+        key = id(node)
+        hit = self._vmin_bounds.get(key)
+        if hit is not None:
+            return hit[1]
+        value = self._compute_vmin_bound(node)
+        self._vmin_bounds[key] = (node, value)
+        return value
+
+    def _compute_vmin_bound(self, node: Series) -> GroupElement | None:
         if isinstance(node, Monomial):
             return None if node.coefficient.is_zero else node.exponent
         if isinstance(node, Literal):

@@ -10,7 +10,7 @@ bound discipline as series evaluation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DescriptorMismatch,
@@ -228,6 +228,8 @@ def region_contains(region: Region, g: GroupElement,
         min_pos = min(positive) if positive else None
         if min_pos is not None and g < min_pos:
             return False
+    if gens and all(e < zero for e in gens) and max(gens) < g:
+        return False  # sums of negative generators are <= the largest one
     if _monoid_reachable(gens, g, budget.monoid_sum_length):
         return True
     if monoid_is_group(gens, budget):
@@ -336,22 +338,36 @@ EXPLICIT_FAMILY = "explicit"
 
 @dataclass(frozen=True)
 class Family:
-    """A symbolic family of well-ordered subsets of G."""
+    """A symbolic family of well-ordered subsets of G.
+
+    An explicit family also carries its member index: ``raw_members``
+    holds each member as a tuple of raw exponent values, in the order of
+    ``members``, and ``raw_member_set`` holds the same tuples for
+    membership tests.
+    """
 
     group: GroupDescriptor
     kind: str
     region: Region | None = None
     members: tuple[tuple[GroupElement, ...], ...] = ()
+    raw_members: tuple[tuple, ...] = field(default=(), init=False, repr=False,
+                                           compare=False)
+    raw_member_set: frozenset = field(default=frozenset(), init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind in (W_FAMILY, FIN_FAMILY):
             if self.region is None or self.region.group != self.group:
                 raise ValueError("region family needs a region over the same group")
         elif self.kind == EXPLICIT_FAMILY:
+            raw = []
             for m in self.members:
                 for p in m:
                     if p.descriptor != self.group:
                         raise DescriptorMismatch("member point uses a different group")
+                raw.append(tuple(p.value for p in m))
+            object.__setattr__(self, "raw_members", tuple(raw))
+            object.__setattr__(self, "raw_member_set", frozenset(raw))
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
@@ -378,8 +394,24 @@ def finite_subsets_family(region: Region) -> Family:
 
 
 def explicit_family(group: GroupDescriptor, members) -> Family:
-    canonical = sorted({tuple(sorted(set(m))) for m in members})
-    return Family(group, EXPLICIT_FAMILY, members=tuple(canonical))
+    """The family of the given finite sets, deduplicated and sorted.
+
+    The canonical sort runs on raw values, whose native order is the
+    group order.
+    """
+    boxed = {}
+    canonical = set()
+    for m in members:
+        values = set()
+        for p in m:
+            if p.descriptor != group:
+                raise DescriptorMismatch("member point uses a different group")
+            boxed.setdefault(p.value, p)
+            values.add(p.value)
+        canonical.add(tuple(sorted(values)))
+    return Family(group, EXPLICIT_FAMILY, members=tuple(
+        tuple(boxed[v] for v in m) for m in sorted(canonical)
+    ))
 
 
 def family_contains(F: Family, A: SupportSet, h: Horizon,
@@ -397,7 +429,7 @@ def family_contains(F: Family, A: SupportSet, h: Horizon,
     if F.kind == EXPLICIT_FAMILY:
         if A.budget_hit:
             raise TermBudgetExceeded("cannot compare a truncated enumeration")
-        return tuple(A.points) in F.members
+        return tuple(p.value for p in A.points) in F.raw_member_set
     unknowns = []
     for p in A.points:
         verdict = region_contains(F.region, p, budget)

@@ -1,7 +1,7 @@
 import io
 import json
 
-from hahnseries.cli import main
+from hahnseries.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -165,3 +165,26 @@ def test_usage_error_exit():
     assert code == 2
     code, _, _ = run_cli()
     assert code == 2
+
+
+def test_repeated_main_calls_match_single_calls():
+    """main() shares one parser across calls; alternating subcommands,
+    usage errors included, print exactly what a lone call prints."""
+    calls = [
+        ("eval", "1 - t^(2)", "--exp-bound", "5"),
+        ("classify", "--family", "W(Z>=0)", "--json"),
+        ("check-family", "explicit{{},{0},{1}}", "--json"),
+        ("eval",),
+        ("vmin", "t^(3) + t^(1)", "--json"),
+        ("no-such-command",),
+        ("check-family", "FIN(Z)", "--condition", "A4"),
+    ]
+    single = {}
+    for argv in calls:
+        build_parser.cache_clear()  # a fresh parser, as in a new process
+        single[argv] = run_cli(*argv)[:2]
+    assert single[("eval",)][0] == 2
+    assert single[("no-such-command",)][0] == 2
+    for _ in range(3):
+        for argv in calls:
+            assert run_cli(*argv)[:2] == single[argv], argv

@@ -263,3 +263,11 @@ def test_submonoid_beyond_budget_is_unknown():
     assert check_condition(F, "A1").holds  # gcd(7,100) = 1, decided exactly
     assert check_condition(F, "A2").holds
     assert check_condition(F, "A4").holds
+
+
+def test_negative_monoid_witnesses_are_confirmed():
+    F = W(submonoid(INTEGERS, [zq(-3)]))
+    for cond in ("S1", "A3", "A5"):
+        v = check_condition(F, cond)
+        assert v.fails, cond
+        assert witness_refutes(F, cond, v) is True, cond

@@ -332,3 +332,38 @@ def test_truncate_composes_with_inverse_lazily():
     tl = coefficients_up_to(cut, H(10))
     assert tl.complete
     assert as_pairs(tl) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_vmin_bound_computed_once_per_node_of_a_shared_dag():
+    base = one_series(INTEGERS, QQ) + monomial(QQ.one, INTEGERS.element(1))
+    s = base
+    for _ in range(20):
+        s = s * s  # each product shares one child twice: 2^20 paths
+    nodes, stack = {}, [s]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(getattr(node, a) for a in ("left", "right", "child")
+                         if hasattr(node, a))
+    ctx = EvaluationContext(Horizon(INTEGERS.element(5), 64))
+    computed = []
+    compute = ctx._compute_vmin_bound
+
+    def counting(node):
+        computed.append(id(node))
+        return compute(node)
+
+    ctx._compute_vmin_bound = counting
+    tl = ctx.coefficients(s)
+    # one computation for every node below the root (the root's own bound
+    # is never asked for): 19 products, the sum and its two monomials
+    assert len(computed) == len(set(computed)) == 22
+    assert set(computed) == set(nodes) - {id(s)}
+    n = 1 << 20
+    assert [int(str(c)) for _, c in tl.terms] == [
+        1, n, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6,
+        n * (n - 1) * (n - 2) * (n - 3) // 24,
+        n * (n - 1) * (n - 2) * (n - 3) * (n - 4) // 120,
+    ]
+    assert ctx.clone()._vmin_bounds == ctx._vmin_bounds

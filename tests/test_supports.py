@@ -254,3 +254,14 @@ def test_family_str_forms():
     assert str(well_ordered_family(submonoid(INTEGERS, [zq(2), zq(3)]))) == "W(mon{2,3})"
     F = explicit_family(INTEGERS, [[], [zq(0)]])
     assert str(F) == "explicit{{},{0}}"
+
+
+def test_submonoid_membership_nonpositive_generators():
+    mon = submonoid(INTEGERS, [zq(-3)])
+    assert region_contains(mon, zq(3)) is False  # sums of negatives stay negative
+    assert region_contains(mon, zq(-1)) is False  # outside the subgroup 3Z
+    assert region_contains(mon, zq(-6)) is True
+    two = submonoid(INTEGERS, [zq(-4), zq(-6)])
+    assert region_contains(two, zq(-2)) is False  # above the largest generator
+    assert region_contains(two, zq(-4)) is True
+    assert region_contains(two, zq(-10)) is True
