@@ -33,13 +33,7 @@ from .groups import (
     TRIVIAL,
     lex_product,
 )
-from .parser import (
-    ast_to_series,
-    contains_unwitnessed_inverse,
-    max_literal_exponent,
-    parse_expression,
-    parse_exponent_text,
-)
+from .parser import default_bound, parse_expression, parse_exponent_text
 from .series import (
     DEFAULT_TERM_BOUND,
     EvaluationContext,
@@ -264,16 +258,6 @@ def _session(args) -> SessionConfig:
     return SessionConfig(group, fld, bound, args.term_bound, args.json, args.seed)
 
 
-def _evaluation_bound(cfg: SessionConfig, ast) -> GroupElement:
-    if cfg.exp_bound is not None:
-        return cfg.exp_bound
-    if contains_unwitnessed_inverse(ast):
-        raise ParseError(
-            "--exp-bound is required for inv(...) without a g0 witness"
-        )
-    return max_literal_exponent(ast, cfg.group)
-
-
 def _emit_terms(cfg: SessionConfig, tl, out):
     if cfg.json_output:
         print(json.dumps(terms_to_json_dict(tl)), file=out)
@@ -283,8 +267,7 @@ def _emit_terms(cfg: SessionConfig, tl, out):
 
 def _run_eval(args, out) -> int:
     cfg = _session(args)
-    ast = parse_expression(args.expression, cfg.group, cfg.field)
-    series = ast_to_series(ast, cfg.group, cfg.field)
+    parsed = series = parse_expression(args.expression, cfg.group, cfg.field)
     if args.command == "invert":
         witness = (
             parse_exponent_text(args.g0, cfg.group) if args.g0 is not None else None
@@ -295,9 +278,9 @@ def _run_eval(args, out) -> int:
     if args.command == "trunc":
         cutoff = parse_exponent_text(args.at, cfg.group)
         series = Truncation(series, cutoff, args.inclusive)
-    bound = cfg.exp_bound
+    bound = cfg.exp_bound if cfg.exp_bound is not None else default_bound(parsed)
     if bound is None:
-        bound = _evaluation_bound(cfg, ast)
+        raise ParseError("--exp-bound is required for inv(...) without a g0 witness")
     ctx = EvaluationContext(Horizon(bound, cfg.term_bound))
     tl = ctx.coefficients(series)
     if args.command == "support":

@@ -1,5 +1,11 @@
 """Recursive-descent parser for series expressions and descriptor text.
 
+The parser builds ``Series`` nodes directly, one node per grammar rule:
+a coefficient is ``Monomial(c, 0)``, ``t^(g)`` is ``Monomial(1, g)``,
+``a + b`` is ``Sum``, ``a - b`` is ``Sum(a, Neg(b))``, a leading ``-`` is
+``Neg``, ``*`` is ``Product``, and ``inv`` and ``trunc`` are ``Inverse``
+and ``Truncation``.
+
 Grammar (exponents always parenthesised to keep lookahead trivial):
 
     expr     := ['-'] term (('+'|'-') term)*
@@ -26,59 +32,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
 from .groups import GroupDescriptor, GroupElement, group_zero
-from .series import Inverse, Monomial, Series, Truncation
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-class AstNode:
-    pass
-
-
-@dataclass(frozen=True)
-class Coefficient(AstNode):
-    value: FieldElement
-
-
-@dataclass(frozen=True)
-class TPower(AstNode):
-    exponent: GroupElement
-
-
-@dataclass(frozen=True)
-class Add(AstNode):
-    left: AstNode
-    right: AstNode
-
-
-@dataclass(frozen=True)
-class Sub(AstNode):
-    left: AstNode
-    right: AstNode
-
-
-@dataclass(frozen=True)
-class Mul(AstNode):
-    left: AstNode
-    right: AstNode
-
-
-@dataclass(frozen=True)
-class Negate(AstNode):
-    child: AstNode
-
-
-@dataclass(frozen=True)
-class Inv(AstNode):
-    child: AstNode
-    witness: GroupElement | None = None
-
-
-@dataclass(frozen=True)
-class Trunc(AstNode):
-    child: AstNode
-    cutoff: GroupElement
+from .series import Inverse, Monomial, Neg, Product, Series, Sum, Truncation, children
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +110,33 @@ class _Parser:
 
     # -- expression grammar ----------------------------------------------
 
-    def parse(self) -> AstNode:
+    def parse(self) -> Series:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             self.error(f"unexpected {tok.text!r} after expression")
         return node
 
-    def expr(self) -> AstNode:
+    def expr(self) -> Series:
         if self.at("-"):
             self.advance()
-            node: AstNode = Negate(self.term())
+            node: Series = Neg(self.term())
         else:
             node = self.term()
         while self.peek().text in ("+", "-"):
             op = self.advance().text
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = Sum(node, rhs if op == "+" else Neg(rhs))
         return node
 
-    def term(self) -> AstNode:
+    def term(self) -> Series:
         node = self.factor()
         while self.at("*"):
             self.advance()
-            node = Mul(node, self.factor())
+            node = Product(node, self.factor())
         return node
 
-    def factor(self) -> AstNode:
+    def factor(self) -> Series:
         tok = self.peek()
         if tok.text == "t":
             self.advance()
@@ -190,7 +144,7 @@ class _Parser:
             self.expect("(")
             g = self.exponent()
             self.expect(")")
-            return TPower(g)
+            return Monomial(self.field.one, g)
         if tok.text == "inv":
             self.advance()
             self.expect("(")
@@ -202,7 +156,7 @@ class _Parser:
                 self.expect("=")
                 witness = self.exponent()
             self.expect(")")
-            return Inv(child, witness)
+            return Inverse(child, witness)
         if tok.text == "trunc":
             self.advance()
             self.expect("(")
@@ -210,19 +164,19 @@ class _Parser:
             self.expect(",")
             g = self.exponent()
             self.expect(")")
-            return Trunc(child, g)
+            return Truncation(child, g)
         if tok.text == "(":
             if self.field.kind == "Fp(x)":
                 mark = self.i
                 try:
-                    return Coefficient(self.ratfunc())
+                    return Monomial(self.ratfunc(), group_zero(self.group))
                 except ParseError:
                     self.i = mark
             self.advance()
             node = self.expr()
             self.expect(")")
             return node
-        return Coefficient(self.coefficient())
+        return Monomial(self.coefficient(), group_zero(self.group))
 
     # -- exponents ---------------------------------------------------------
 
@@ -359,7 +313,7 @@ class _Parser:
 
 
 def parse_expression(text: str, group: GroupDescriptor,
-                     fld: FieldDescriptor) -> AstNode:
+                     fld: FieldDescriptor) -> Series:
     return _Parser(text, group, fld).parse()
 
 
@@ -371,100 +325,64 @@ def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
     return g
 
 
-# ---------------------------------------------------------------------------
-# rendering and series construction
 
-def render_expression(node: AstNode) -> str:
-    if isinstance(node, Coefficient):
-        return str(node.value)
-    if isinstance(node, TPower):
+
+# ---------------------------------------------------------------------------
+# rendering and the default evaluation bound
+
+def render_expression(node: Series) -> str:
+    """Expression text for a node tree of the kind the parser builds.
+    Raises TypeError for nodes the grammar cannot write."""
+    if isinstance(node, Monomial) and node.exponent.is_zero:
+        return str(node.coefficient)
+    if isinstance(node, Monomial) and node.coefficient == node.field.one:
         return f"t^({node.exponent})"
-    if isinstance(node, Add):
-        return f"{render_expression(node.left)} + {_wrap_additive(node.right)}"
-    if isinstance(node, Sub):
-        return f"{render_expression(node.left)} - {_wrap_additive(node.right)}"
-    if isinstance(node, Mul):
-        right = _wrap_factor(node.right)
-        if isinstance(node.right, Mul):
+    if isinstance(node, Sum):
+        left = render_expression(node.left)
+        if isinstance(node.right, Neg):
+            return f"{left} - {_wrap_additive(node.right.child)}"
+        return f"{left} + {_wrap_additive(node.right)}"
+    if isinstance(node, Product):
+        right = _wrap_additive(node.right)
+        if isinstance(node.right, Product):
             right = f"({right})"
-        return f"{_wrap_factor(node.left)}*{right}"
-    if isinstance(node, Negate):
-        return f"-{_wrap_factor(node.child)}"
-    if isinstance(node, Inv):
+        return f"{_wrap_additive(node.left)}*{right}"
+    if isinstance(node, Neg):
+        return f"-{_wrap_additive(node.child)}"
+    if isinstance(node, Inverse):
         if node.witness is not None:
             return f"inv({render_expression(node.child)}; g0={node.witness})"
         return f"inv({render_expression(node.child)})"
-    if isinstance(node, Trunc):
+    if isinstance(node, Truncation) and not node.inclusive:
         return f"trunc({render_expression(node.child)}, {node.cutoff})"
-    raise TypeError(f"unknown AST node {type(node).__name__}")
+    raise TypeError(f"the grammar cannot write this {type(node).__name__} node")
 
 
-def _wrap_additive(node: AstNode) -> str:
+def _wrap_additive(node: Series) -> str:
     text = render_expression(node)
-    if isinstance(node, (Add, Sub, Negate)):
+    if isinstance(node, (Sum, Neg)):
         return f"({text})"
     return text
 
 
-def _wrap_factor(node: AstNode) -> str:
-    text = render_expression(node)
-    if isinstance(node, (Add, Sub, Negate)):
-        return f"({text})"
-    return text
-
-
-def ast_to_series(node: AstNode, group: GroupDescriptor,
-                  fld: FieldDescriptor) -> Series:
-    if isinstance(node, Coefficient):
-        return Monomial(node.value, group_zero(group))
-    if isinstance(node, TPower):
-        return Monomial(fld.one, node.exponent)
-    if isinstance(node, Add):
-        return ast_to_series(node.left, group, fld) + ast_to_series(node.right, group, fld)
-    if isinstance(node, Sub):
-        return ast_to_series(node.left, group, fld) - ast_to_series(node.right, group, fld)
-    if isinstance(node, Mul):
-        return ast_to_series(node.left, group, fld) * ast_to_series(node.right, group, fld)
-    if isinstance(node, Negate):
-        return -ast_to_series(node.child, group, fld)
-    if isinstance(node, Inv):
-        return Inverse(ast_to_series(node.child, group, fld), node.witness)
-    if isinstance(node, Trunc):
-        return Truncation(ast_to_series(node.child, group, fld), node.cutoff)
-    raise TypeError(f"unknown AST node {type(node).__name__}")
-
-
-def contains_unwitnessed_inverse(node: AstNode) -> bool:
-    if isinstance(node, Inv):
-        return node.witness is None or contains_unwitnessed_inverse(node.child)
-    if isinstance(node, (Add, Sub, Mul)):
-        return contains_unwitnessed_inverse(node.left) or contains_unwitnessed_inverse(
-            node.right
-        )
-    if isinstance(node, (Negate,)):
-        return contains_unwitnessed_inverse(node.child)
-    if isinstance(node, Trunc):
-        return contains_unwitnessed_inverse(node.child)
-    return False
-
-
-def max_literal_exponent(node: AstNode, group: GroupDescriptor) -> GroupElement:
-    """Largest exponent textually present; the default evaluation bound
-    for expressions without unwitnessed inverses."""
-    best = group_zero(group)
-    stack = [node]
+def default_bound(series: Series) -> GroupElement | None:
+    """The evaluation bound of an expression given without one: the
+    largest exponent written in it, counting -g0 of each witnessed
+    inverse, or None when some inverse has no witness."""
+    best = group_zero(series.group)
+    seen: set[int] = set()
+    stack = [series]
     while stack:
-        n = stack.pop()
-        if isinstance(n, TPower) and best < n.exponent:
-            best = n.exponent
-        elif isinstance(n, (Add, Sub, Mul)):
-            stack.extend((n.left, n.right))
-        elif isinstance(n, Negate):
-            stack.append(n.child)
-        elif isinstance(n, Inv):
-            stack.append(n.child)
-            if n.witness is not None and best < -n.witness:
-                best = -n.witness
-        elif isinstance(n, Trunc):
-            stack.append(n.child)
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Monomial) and best < node.exponent:
+            best = node.exponent
+        elif isinstance(node, Inverse):
+            if node.witness is None:
+                return None
+            if best < -node.witness:
+                best = -node.witness
+        stack.extend(children(node))
     return best

@@ -246,6 +246,19 @@ class Truncation(Series):
         object.__setattr__(self, "inclusive", inclusive)
 
 
+def children(node: Series) -> tuple[Series, ...]:
+    """The direct subexpressions of a node, left to right."""
+    if isinstance(node, (Sum, Product)):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Inverse, Truncation)):
+        return (node.child,)
+    if isinstance(node, GeometricTail):
+        return (node.base,)
+    if isinstance(node, (Monomial, Literal)):
+        return ()
+    raise TypeError(f"unknown series node {type(node).__name__}")
+
+
 @dataclass(frozen=True)
 class InversionFactorization:
     """b = lead * t^g0 * (1 - epsilon) with supp(epsilon) > 0."""

@@ -44,6 +44,18 @@ def test_eval_requires_bound_for_inv():
     code, out, err = run_cli("eval", "inv(t^(2); g0=2)")
     assert code == 0
     assert out.strip() == "1*t^(-2)"
+    # the default bound comes from the expression, not from --g0
+    code, out, err = run_cli("invert", "t^(2)*(1 + t^(1))", "--g0", "2")
+    assert code == 0, err
+    assert out.strip() == "1*t^(-2) - 1*t^(-1) + 1 - 1*t^(1) + 1*t^(2)"
+    # -g0 of a witnessed inv counts towards it
+    code, out, err = run_cli("eval", "t^(-3)*inv(t^(-3) + t^(2); g0=-3)")
+    assert code == 0, err
+    assert out.strip() == "1"
+    # invert without --g0 needs a bound before the expression is looked at
+    code, out, err = run_cli("invert", "inv(1 - t^(1))")
+    assert code == 2
+    assert err == "error: --exp-bound is required for invert without --g0\n"
 
 
 def test_invert_command():

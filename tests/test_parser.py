@@ -7,21 +7,26 @@ from hahnseries.errors import ParseError
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, lex_product
 from hahnseries.parser import (
-    Add,
-    Coefficient,
-    Inv,
-    Mul,
-    Negate,
-    Sub,
-    TPower,
-    Trunc,
-    ast_to_series,
-    max_literal_exponent,
+    default_bound,
     parse_exponent_text,
     parse_expression,
     render_expression,
 )
-from hahnseries.series import Horizon, coefficients_up_to, render_terms
+from hahnseries.series import (
+    GeometricTail,
+    Horizon,
+    Inverse,
+    Literal,
+    Monomial,
+    Neg,
+    Product,
+    Sum,
+    Truncation,
+    children,
+    coefficients_up_to,
+    from_terms,
+    render_terms,
+)
 
 F5 = prime_field(5)
 F3X = rational_functions(3)
@@ -32,17 +37,35 @@ def parse_q(text):
     return parse_expression(text, INTEGERS, QQ)
 
 
+def is_sub(node):
+    return isinstance(node, Sum) and isinstance(node.right, Neg)
+
+
+def shape(node):
+    """Structure and leaf data of a tree; Series nodes compare by
+    identity, so round trips compare shapes."""
+    data = None
+    if isinstance(node, Monomial):
+        data = (node.coefficient, node.exponent)
+    elif isinstance(node, Inverse):
+        data = node.witness
+    elif isinstance(node, Truncation):
+        data = (node.cutoff, node.inclusive)
+    return (type(node).__name__, data, tuple(shape(c) for c in children(node)))
+
+
 def test_inverse_with_sum():
-    ast = parse_q("inv(1 - t^(1) - t^(2))")
-    assert isinstance(ast, Inv)
-    assert isinstance(ast.child, Sub)
-    assert ast.witness is None
+    s = parse_q("inv(1 - t^(1) - t^(2))")
+    assert isinstance(s, Inverse)
+    assert is_sub(s.child)
+    assert s.witness is None
 
 
 def test_trunc_node():
-    ast = parse_q("trunc(1 + 2*t^(1) + 3*t^(2), 2)")
-    assert isinstance(ast, Trunc)
-    assert ast.cutoff == INTEGERS.element(2)
+    s = parse_q("trunc(1 + 2*t^(1) + 3*t^(2), 2)")
+    assert isinstance(s, Truncation)
+    assert s.cutoff == INTEGERS.element(2)
+    assert not s.inclusive
 
 
 def test_syntax_error_column():
@@ -55,8 +78,8 @@ def test_syntax_error_column():
 
 
 def test_witness_syntax():
-    ast = parse_q("inv(t^(3); g0=3)")
-    assert ast.witness == INTEGERS.element(3)
+    s = parse_q("inv(t^(3); g0=3)")
+    assert s.witness == INTEGERS.element(3)
 
 
 def test_exponent_forms():
@@ -74,43 +97,43 @@ def test_exponent_forms():
 
 
 def test_lex_monomial():
-    ast = parse_expression("t^((1,-2))", LEX2, QQ)
-    assert isinstance(ast, TPower)
-    assert ast.exponent == LEX2.element((1, -2))
-    assert render_expression(ast) == "t^((1,-2))"
+    s = parse_expression("t^((1,-2))", LEX2, QQ)
+    assert isinstance(s, Monomial)
+    assert s.exponent == LEX2.element((1, -2))
+    assert s.coefficient == QQ.one
+    assert render_expression(s) == "t^((1,-2))"
 
 
 def test_fp_coefficient_division():
-    ast = parse_expression("2/3", INTEGERS, F5)
-    assert isinstance(ast, Coefficient)
+    s = parse_expression("2/3", INTEGERS, F5)
+    assert isinstance(s, Monomial) and s.exponent.is_zero
     # 2 * 3^-1 = 2 * 2 = 4 mod 5
-    assert ast.value == F5.element(4)
+    assert s.coefficient == F5.element(4)
 
 
 def test_ratfunc_coefficients():
-    ast = parse_expression("(x^2+1)/x", INTEGERS, F3X)
-    assert isinstance(ast, Coefficient)
-    assert str(ast.value) == "(x^2+1)/x"
-    ast = parse_expression("x*t^(1) + 2*x^2*t^(2)", INTEGERS, F3X)
-    s = ast_to_series(ast, INTEGERS, F3X)
+    s = parse_expression("(x^2+1)/x", INTEGERS, F3X)
+    assert isinstance(s, Monomial) and s.exponent.is_zero
+    assert str(s.coefficient) == "(x^2+1)/x"
+    s = parse_expression("x*t^(1) + 2*x^2*t^(2)", INTEGERS, F3X)
     tl = coefficients_up_to(s, Horizon(INTEGERS.element(3)))
     assert [str(c) for _, c in tl.terms] == ["x", "2*x^2"]
 
 
 def test_paren_disambiguation():
     # series grouping when the content is not a coefficient
-    ast = parse_expression("(1 + t^(1))*(1 - t^(1))", INTEGERS, F3X)
-    assert isinstance(ast, Mul)
+    s = parse_expression("(1 + t^(1))*(1 - t^(1))", INTEGERS, F3X)
+    assert isinstance(s, Product)
     # coefficient when it is
-    ast = parse_expression("(x+1)*t^(1)", INTEGERS, F3X)
-    assert isinstance(ast, Mul)
-    assert isinstance(ast.left, Coefficient)
+    s = parse_expression("(x+1)*t^(1)", INTEGERS, F3X)
+    assert isinstance(s, Product)
+    assert isinstance(s.left, Monomial) and s.left.exponent.is_zero
 
 
 def test_unary_minus():
-    ast = parse_q("-t^(1) + 1")
-    assert isinstance(ast, Add)
-    assert isinstance(ast.left, Negate)
+    s = parse_q("-t^(1) + 1")
+    assert isinstance(s, Sum) and not is_sub(s)
+    assert isinstance(s.left, Neg)
 
 
 def test_render_roundtrip_examples():
@@ -122,33 +145,48 @@ def test_render_roundtrip_examples():
         "-1/2 + 3*t^(2)*t^(4)",
         "(1 + t^(1))*(1 - t^(2))",
     ):
-        ast = parse_q(text)
-        assert parse_q(render_expression(ast)) == ast
+        s = parse_q(text)
+        assert shape(parse_q(render_expression(s))) == shape(s)
 
 
-def _random_ast(rng, depth=0):
+def _random_series(rng, depth=0):
     if depth >= 3 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            return Coefficient(QQ.element(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
-        return TPower(INTEGERS.element(rng.randint(-9, 9)))
+            c = QQ.element(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            return Monomial(c, INTEGERS.zero)
+        return Monomial(QQ.one, INTEGERS.element(rng.randint(-9, 9)))
     kind = rng.choice(["add", "sub", "mul", "neg", "inv", "trunc"])
     if kind in ("add", "sub", "mul"):
-        cls = {"add": Add, "sub": Sub, "mul": Mul}[kind]
-        return cls(_random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
+        left, right = _random_series(rng, depth + 1), _random_series(rng, depth + 1)
+        if kind == "mul":
+            return Product(left, right)
+        return Sum(left, right if kind == "add" else Neg(right))
     if kind == "neg":
-        return Negate(_random_ast(rng, depth + 1))
+        return Neg(_random_series(rng, depth + 1))
     if kind == "inv":
         witness = INTEGERS.element(rng.randint(-3, 3)) if rng.random() < 0.4 else None
-        return Inv(_random_ast(rng, depth + 1), witness)
-    return Trunc(_random_ast(rng, depth + 1), INTEGERS.element(rng.randint(-5, 5)))
+        return Inverse(_random_series(rng, depth + 1), witness)
+    child = _random_series(rng, depth + 1)
+    return Truncation(child, INTEGERS.element(rng.randint(-5, 5)))
 
 
 def test_render_roundtrip_random():
     rng = random.Random(20240817)
     for _ in range(300):
-        ast = _random_ast(rng)
-        text = render_expression(ast)
-        assert parse_q(text) == ast, text
+        s = _random_series(rng)
+        text = render_expression(s)
+        assert shape(parse_q(text)) == shape(s), text
+
+
+def test_render_rejects_nodes_the_grammar_cannot_write():
+    one = Monomial(QQ.one, INTEGERS.element(1))
+    for node in (
+        Literal(INTEGERS, QQ, [(INTEGERS.element(1), QQ.one)]),
+        GeometricTail(one),
+        Truncation(one, INTEGERS.element(2), inclusive=True),
+    ):
+        with pytest.raises(TypeError):
+            render_expression(node)
 
 
 def test_rendered_termlist_reparses_and_reevaluates():
@@ -160,16 +198,25 @@ def test_rendered_termlist_reparses_and_reevaluates():
              QQ.element(Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
             for _ in range(4)
         ]
-        from hahnseries.series import from_terms
-
         s = from_terms(INTEGERS, QQ, pairs)
         tl = coefficients_up_to(s, h)
         text = render_terms(tl)
-        ast = parse_q(text)
-        s2 = ast_to_series(ast, INTEGERS, QQ)
-        assert coefficients_up_to(s2, h) == tl
+        assert coefficients_up_to(parse_q(text), h) == tl
 
 
-def test_max_literal_exponent():
-    ast = parse_q("1 + 2*t^(3) + t^(7)*t^(2)")
-    assert max_literal_exponent(ast, INTEGERS) == INTEGERS.element(7)
+def test_default_bound():
+    assert default_bound(parse_q("1 + 2*t^(3) + t^(7)*t^(2)")) == INTEGERS.element(7)
+    assert default_bound(parse_q("2 - t^(-4)")) == INTEGERS.zero
+    # -g0 of a witnessed inverse counts; a trunc cutoff does not
+    s = parse_q("t^(1)*inv(t^(-3) + t^(2); g0=-3)")
+    assert default_bound(s) == INTEGERS.element(3)
+    assert default_bound(parse_q("trunc(t^(1), 9)")) == INTEGERS.element(1)
+    # an inverse without a witness leaves the bound to the caller
+    assert default_bound(parse_q("t^(5) + inv(1 - t^(1))")) is None
+    assert default_bound(parse_q("inv(inv(1 - t^(1)); g0=0)")) is None
+
+
+def test_default_bound_of_a_deep_sum():
+    text = " + ".join(f"{k % 7 + 1}*t^({k})" for k in range(5000))
+    s = parse_q(text)
+    assert default_bound(s) == INTEGERS.element(4999)
