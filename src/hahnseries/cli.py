@@ -167,16 +167,15 @@ def parse_family_text(text: str, group: GroupDescriptor) -> Family:
     m = re.fullmatch(r"explicit\{(.*)\}", text)
     if m:
         members = []
+        points: dict[str, GroupElement] = {}  # each distinct point text is parsed once
         for part in _split_top(m.group(1)):
             inner = part.strip()
             if not (inner.startswith("{") and inner.endswith("}")):
                 raise ParseError(f"explicit member {part!r} must be braced")
             body = inner[1:-1].strip()
-            members.append(
-                [parse_exponent_text(e, group) for e in _split_top(body)]
-                if body
-                else []
-            )
+            texts = _split_top(body) if body else []
+            points.update((e, parse_exponent_text(e, group)) for e in texts if e not in points)
+            members.append([points[e] for e in texts])
         return explicit_family(group, members)
     raise ParseError(
         f"unknown family {text!r} (expected W(...), FIN(...) or explicit{{...}})"

@@ -32,7 +32,9 @@ from fractions import Fraction
 from .errors import ParseError
 from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
 from .groups import GroupDescriptor, GroupElement, group_zero
-from .series import Inverse, Monomial, Neg, Product, Series, Sum, Truncation, children
+from .series import (
+    Inverse, Monomial, Neg, Product, Series, Sum, Truncation, children, coefficient_text,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +336,18 @@ def render_expression(node: Series) -> str:
     """Expression text for a node tree of the kind the parser builds.
     Raises TypeError for nodes the grammar cannot write."""
     if isinstance(node, Monomial) and node.exponent.is_zero:
-        return str(node.coefficient)
+        return coefficient_text(node.coefficient)
     if isinstance(node, Monomial) and node.coefficient == node.field.one:
         return f"t^({node.exponent})"
     if isinstance(node, Sum):
-        left = render_expression(node.left)
-        if isinstance(node.right, Neg):
-            return f"{left} - {_wrap_additive(node.right.child)}"
-        return f"{left} + {_wrap_additive(node.right)}"
+        rights = []  # the left spine is walked, not recursed: sums run long
+        while isinstance(node, Sum):
+            rights.append(node.right)
+            node = node.left
+        return render_expression(node) + "".join(
+            f" - {_wrap_additive(r.child)}" if isinstance(r, Neg) else f" + {_wrap_additive(r)}"
+            for r in reversed(rights)
+        )
     if isinstance(node, Product):
         right = _wrap_additive(node.right)
         if isinstance(node.right, Product):

@@ -14,13 +14,17 @@ that hits the term bound is still sound: it carries a frontier exponent
 and lists exactly the support points strictly below it.
 
 Inversion follows the leading-term factorisation b = c*t^g0*(1 - eps)
-with supp(eps) > 0, and expands (1 - eps)^-1 as the geometric tail
-sum of powers of eps; the tail terminates below any bound because the
-leading exponent of eps^n grows strictly.
+with supp(eps) > 0.  The support of (1 - eps)^-1 lies in the finite-sums
+closure of supp(eps) (Neumann), so the tail is solved by online division
+over that closure: one walk of the closure in increasing order computes
+c_0 = 1 and c_g = sum of eps_h * c_(g-h) over h in supp(eps).  The walk
+stays below the frontier of eps and stops at the (term_bound+1)-th
+nonzero coefficient, which then becomes the frontier.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (
@@ -88,6 +92,14 @@ class TermList:
         return None
 
 
+def coefficient_text(c: FieldElement) -> str:
+    """The text of a coefficient that reads back as one coefficient: an
+    F_p(x) numerator of several terms without a denominator, the one
+    form ``str`` leaves bare, is parenthesised."""
+    text = str(c)
+    return f"({text})" if "+" in text and "/" not in text else text
+
+
 def render_terms(tl: TermList) -> str:
     """Canonical text form, e.g. ``1 - 1*t^(1) + 2/3*t^(5/2)``."""
     if not tl.terms:
@@ -99,7 +111,7 @@ def render_terms(tl: TermList) -> str:
         if ordered and c.value < 0:
             sign = "-"
             c = -c
-        body = str(c) if g.is_zero else f"{c}*t^({g})"
+        body = coefficient_text(c) if g.is_zero else f"{coefficient_text(c)}*t^({g})"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_body
@@ -424,8 +436,13 @@ class EvaluationContext:
             return -self._resolve(node)[0].g0
         raise TypeError(f"unknown series node {type(node).__name__}")
 
-    def _convolve(self, a: TermList, b: TermList, bound: GroupElement,
-                  va: GroupElement, vb: GroupElement) -> TermList:
+    def _expand_product(self, node: Product, bound: GroupElement) -> TermList:
+        va = self._vmin_bound(node.left)
+        vb = self._vmin_bound(node.right)
+        if va is None or vb is None:
+            return TermList(())
+        a = self._eval(node.left, bound - vb)
+        b = self._eval(node.right, bound - va)
         acc: dict[GroupElement, FieldElement] = {}
         for ga, ca in a.terms:
             for gb, cb in b.terms:
@@ -443,15 +460,6 @@ class EvaluationContext:
             if not acc[g].is_zero and (frontier is None or g < frontier)
         )
         return TermList(terms, frontier is None, frontier)
-
-    def _expand_product(self, node: Product, bound: GroupElement) -> TermList:
-        va = self._vmin_bound(node.left)
-        vb = self._vmin_bound(node.right)
-        if va is None or vb is None:
-            return TermList(())
-        a = self._eval(node.left, bound - vb)
-        b = self._eval(node.right, bound - va)
-        return self._convolve(a, b, bound, va, vb)
 
     def _expand_truncation(self, node: Truncation, bound: GroupElement) -> TermList:
         cutoff = node.cutoff
@@ -506,14 +514,14 @@ class EvaluationContext:
         return fact, expansion
 
     def _expand_tail(self, node: GeometricTail, bound: GroupElement) -> TermList:
+        """(1 - base)^-1 by online division over the closure of supp(base),
+        with the frontier rule of the module docstring."""
         zero = group_zero(node.group)
         one = node.field.one
-        probe_bound = bound if zero < bound else zero
-        base = self._eval(node.base, probe_bound)
+        base = self._eval(node.base, bound if zero < bound else zero)
         if not base.terms:
             if base.complete:
-                terms = ((zero, one),) if not zero > bound else ()
-                return TermList(terms)
+                return TermList(((zero, one),) if not zero > bound else ())
             raise TermBudgetExceeded(
                 "geometric tail base could not be enumerated within the term budget"
             )
@@ -522,50 +530,46 @@ class EvaluationContext:
             raise PreconditionViolation(
                 f"geometric tail base has leading exponent {m} <= 0"
             )
-        base_at_bound = TermList(
-            tuple(t for t in base.terms if not t[0] > bound),
-            base.complete,
-            base.frontier,
-        )
+        strict = not base.complete and not bound < base.frontier
+        limit = base.frontier if strict else bound
+        eps = [c for _, c in base.terms]
         cap = self.horizon.term_bound
-        acc: dict[GroupElement, FieldElement] = {zero: one}
-        power = TermList(((zero, one),))
-        power_v = zero
-        sound = base.frontier if not base.complete else None
-        complete = False
-        cut = m
-        for _ in range(cap):
-            power = self._convolve(power, base_at_bound, bound, power_v, m)
-            power_v = power_v + m
-            if not power.complete:
-                sound = _fmin(sound, power.frontier)
-            if not power.terms:
-                complete = power.complete
-                cut = power_v
-                break
-            for g, c in power.terms:
-                acc[g] = acc[g] + c if g in acc else c
-            cut = power_v + m
-            limit = _fmin(sound, cut)
-            finals = [
-                g for g, c in acc.items()
-                if not c.is_zero and not g > bound and (limit is None or g < limit)
-            ]
-            if len(finals) >= cap:
-                break
-        if complete and sound is None:
-            terms = tuple(
-                (g, acc[g]) for g in sorted(acc)
-                if not acc[g].is_zero and not g > bound
-            )
-            return TermList(terms)
-        frontier = _fmin(sound, cut)
-        terms = tuple(
-            (g, acc[g]) for g in sorted(acc)
-            if not acc[g].is_zero and not g > bound
-            and (frontier is None or g < frontier)
-        )
-        return TermList(terms, frontier is None, frontier)
+        values: list[FieldElement] = []
+        terms = []
+        for g, preds in closure_walk(node.group, base.support(), limit, strict):
+            c = sum((eps[i] * values[k] for i, k in preds), node.field.zero) if preds else one
+            values.append(c)
+            if not c.is_zero:
+                if len(terms) == cap:
+                    return TermList(tuple(terms), False, g)
+                terms.append((g, c))
+        return TermList(tuple(terms), base.complete, base.frontier)
+
+
+def closure_walk(group: GroupDescriptor, gens, limit: GroupElement, strict: bool):
+    """The finite sums of ``gens`` (positive, increasing) up to ``limit``,
+    or strictly below it, in increasing order by a heap walk.  Each sum s
+    comes with its predecessors, the pairs (i, k) with s = gens[i] + the
+    k-th sum yielded, so a recurrence over the closure can be solved as
+    it is walked."""
+    def out(s):
+        return not s < limit if strict else limit < s
+    zero = group_zero(group)
+    preds = {zero: []}
+    heap = [] if out(zero) else [zero]
+    k = 0
+    while heap:
+        x = heapq.heappop(heap)
+        yield x, preds.pop(x)
+        for i, h in enumerate(gens):
+            s = x + h
+            if out(s):
+                break  # gens increase, so every later sum is out too
+            if s not in preds:
+                preds[s] = []
+                heapq.heappush(heap, s)
+            preds[s].append((i, k))
+        k += 1
 
 
 # ---------------------------------------------------------------------------

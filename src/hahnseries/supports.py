@@ -9,7 +9,6 @@ bound discipline as series evaluation.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -26,7 +25,7 @@ from .groups import (
     group_zero,
     subgroup_contains,
 )
-from .series import Horizon, Literal, Series, TermList
+from .series import Horizon, Literal, Series, TermList, closure_walk
 
 
 @dataclass(frozen=True)
@@ -297,20 +296,10 @@ def finite_sums_closure(A: SupportSet, h: Horizon) -> SupportSet:
         exclusive = A.budget_hit
     gens = [p for p in A.points if not p.is_zero]
     emitted = []
-    seen = {zero}
-    heap = [zero]
-    while heap:
-        x = heapq.heappop(heap)
-        if x > bound or (exclusive and x == bound):
-            break
+    for x, _ in closure_walk(A.group, gens, bound, exclusive):
         if len(emitted) >= h.term_bound:
             return SupportSet(A.group, tuple(emitted), x, True)
         emitted.append(x)
-        for g in gens:
-            s = x + g
-            if s not in seen and not s > bound:
-                seen.add(s)
-                heapq.heappush(heap, s)
     if not gens and A.is_entire:
         return SupportSet(A.group, tuple(emitted))
     return SupportSet(A.group, tuple(emitted), bound, A.budget_hit)

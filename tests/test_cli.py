@@ -200,3 +200,23 @@ def test_repeated_main_calls_match_single_calls():
     for _ in range(3):
         for argv in calls:
             assert run_cli(*argv)[:2] == single[argv], argv
+
+
+def test_malformed_family_point_keeps_its_parse_error():
+    # points repeat before the bad one; each text is parsed once, and the
+    # first malformed point still decides the error
+    code, out, err = run_cli("check-family", "explicit{{0,1},{1,2},{1,x}}", "--condition", "S2")
+    assert (code, out, err) == (2, "", "error: expected an integer (line 1, column 1)\n")
+    code, out, err = run_cli(
+        "check-family", "explicit{{(0,1)},{(0,1),(1,2,3)}}", "--group", "Z^2", "--condition", "S2",
+    )
+    assert (code, out, err) == (2, "", "error: expected 2 coordinates (line 1, column 8)\n")
+
+
+def test_ratfunc_text_output_reparses():
+    code, out, err = run_cli("eval", "(x+1)*t^(1)", "--field", "F3(x)", "--exp-bound", "2")
+    assert (code, out, err) == (0, "(x+1)*t^(1)\n", "")
+    assert run_cli("eval", out.strip(), "--field", "F3(x)", "--exp-bound", "2")[1] == out
+    # JSON coefficients are unambiguous and stay bare
+    code, out, _ = run_cli("eval", "(x+1)*t^(1)", "--field", "F3(x)", "--exp-bound", "2", "--json")
+    assert json.loads(out)["terms"] == [{"exp": "1", "coef": "x+1"}]

@@ -220,3 +220,32 @@ def test_default_bound_of_a_deep_sum():
     text = " + ".join(f"{k % 7 + 1}*t^({k})" for k in range(5000))
     s = parse_q(text)
     assert default_bound(s) == INTEGERS.element(4999)
+
+
+def test_render_of_a_deep_sum_reparses():
+    text = " + ".join(f"{k % 7 + 1}*t^({k})" for k in range(1, 2500))
+    text += "".join(f" - {k % 5 + 1}*t^({k})" for k in range(2500, 5000))
+    rendered = render_expression(parse_q(text))
+    assert rendered == text
+    assert render_expression(parse_q(rendered)) == text
+
+
+def test_ratfunc_text_reparses_to_the_same_terms():
+    x_plus_1 = F3X.element(((1, 1), (1,)))
+    assert render_expression(Monomial(x_plus_1, INTEGERS.zero)) == "(x+1)"
+    h = Horizon(INTEGERS.element(6))
+    rng = random.Random(33)
+    for _ in range(60):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            num = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+            den = rng.choice([(1,), (0, 1), (1, 1), (2, 0, 1)])
+            if any(num):
+                pairs.append((INTEGERS.element(rng.randint(0, 5)), F3X.element((num, den))))
+        tl = coefficients_up_to(from_terms(INTEGERS, F3X, pairs), h)
+        text = render_terms(tl)
+        assert coefficients_up_to(parse_expression(text, INTEGERS, F3X), h) == tl, text
+        s = parse_expression(text, INTEGERS, F3X)
+        assert coefficients_up_to(
+            parse_expression(render_expression(s), INTEGERS, F3X), h
+        ) == tl, text
