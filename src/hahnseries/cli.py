@@ -2,8 +2,9 @@
 
 Subcommands: eval, invert, support, vmin, trunc, check-family, classify,
 suite.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 term budget exceeded or membership undecided within budget.  Errors go
-to stderr; with a fixed seed every run is byte-identical.
+3 term budget exceeded, membership undecided within budget, or an
+expression nesting too deeply to parse or evaluate.  Errors go to
+stderr; with a fixed seed every run is byte-identical.
 """
 
 from __future__ import annotations
@@ -389,6 +390,9 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_USAGE
     except (TermBudgetExceeded, UnknownWithinBudget) as exc:
         print(f"budget exceeded: {exc}", file=err)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("budget exceeded: expression nests too deeply to evaluate", file=err)
         return EXIT_BUDGET
     except (HahnSeriesError, ZeroDivisionError, ValueError) as exc:
         print(f"verification failure: {exc}", file=err)

@@ -2,9 +2,10 @@
 
 The parser builds ``Series`` nodes directly, one node per grammar rule:
 a coefficient is ``Monomial(c, 0)``, ``t^(g)`` is ``Monomial(1, g)``,
-``a + b`` is ``Sum``, ``a - b`` is ``Sum(a, Neg(b))``, a leading ``-`` is
-``Neg``, ``*`` is ``Product``, and ``inv`` and ``trunc`` are ``Inverse``
-and ``Truncation``.
+the terms of an ``expr`` make one ``Sum`` with a summand per term, a
+subtracted term being ``Neg`` of it (``a - b + c`` is
+``Sum(a, Neg(b), c)``), a leading ``-`` is ``Neg``, ``*`` is ``Product``,
+and ``inv`` and ``trunc`` are ``Inverse`` and ``Truncation``.
 
 Grammar (exponents always parenthesised to keep lookahead trivial):
 
@@ -122,14 +123,14 @@ class _Parser:
     def expr(self) -> Series:
         if self.at("-"):
             self.advance()
-            node: Series = Neg(self.term())
+            summands: list[Series] = [Neg(self.term())]
         else:
-            node = self.term()
+            summands = [self.term()]
         while self.peek().text in ("+", "-"):
             op = self.advance().text
             rhs = self.term()
-            node = Sum(node, rhs if op == "+" else Neg(rhs))
-        return node
+            summands.append(rhs if op == "+" else Neg(rhs))
+        return Sum(*summands) if len(summands) > 1 else summands[0]
 
     def term(self) -> Series:
         node = self.factor()
@@ -340,13 +341,11 @@ def render_expression(node: Series) -> str:
     if isinstance(node, Monomial) and node.coefficient == node.field.one:
         return f"t^({node.exponent})"
     if isinstance(node, Sum):
-        rights = []  # the left spine is walked, not recursed: sums run long
-        while isinstance(node, Sum):
-            rights.append(node.right)
-            node = node.left
-        return render_expression(node) + "".join(
+        first, *rest = node.summands
+        head = render_expression(first)
+        return (f"({head})" if isinstance(first, Sum) else head) + "".join(
             f" - {_wrap_additive(r.child)}" if isinstance(r, Neg) else f" + {_wrap_additive(r)}"
-            for r in reversed(rights)
+            for r in rest
         )
     if isinstance(node, Product):
         right = _wrap_additive(node.right)

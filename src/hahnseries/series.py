@@ -66,6 +66,7 @@ class TermList:
     to the bound it was evaluated at.  Otherwise ``frontier`` is the
     guarantee boundary: every support point strictly below it is listed
     with its exact coefficient, and nothing is claimed beyond.
+    ``frontier`` is None exactly when ``complete``.
     """
 
     terms: tuple[tuple[GroupElement, FieldElement], ...]
@@ -192,13 +193,16 @@ class Literal(Series):
 
 
 class Sum(Series):
-    __slots__ = ("left", "right")
+    """A finite sum of two or more summands, in written order."""
 
-    def __init__(self, left: Series, right: Series):
-        super().__init__(left.group, left.field)
-        left._match(right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __slots__ = ("summands",)
+
+    def __init__(self, first: Series, second: Series, *rest: Series):
+        super().__init__(first.group, first.field)
+        summands = (first, second, *rest)
+        for s in summands[1:]:
+            first._match(s)
+        object.__setattr__(self, "summands", summands)
 
 
 class Neg(Series):
@@ -260,7 +264,9 @@ class Truncation(Series):
 
 def children(node: Series) -> tuple[Series, ...]:
     """The direct subexpressions of a node, left to right."""
-    if isinstance(node, (Sum, Product)):
+    if isinstance(node, Sum):
+        return node.summands
+    if isinstance(node, Product):
         return (node.left, node.right)
     if isinstance(node, (Neg, Inverse, Truncation)):
         return (node.child,)
@@ -383,13 +389,13 @@ class EvaluationContext:
         raise TypeError(f"unknown series node {type(node).__name__}")
 
     def _expand_sum(self, node: Sum, bound: GroupElement) -> TermList:
-        a = self._eval(node.left, bound)
-        b = self._eval(node.right, bound)
-        frontier = _fmin(a.frontier if not a.complete else None,
-                         b.frontier if not b.complete else None)
+        frontier = None
         merged: dict[GroupElement, FieldElement] = {}
-        for g, c in a.terms + b.terms:
-            merged[g] = merged[g] + c if g in merged else c
+        for summand in node.summands:
+            tl = self._eval(summand, bound)
+            frontier = _fmin(frontier, tl.frontier)
+            for g, c in tl.terms:
+                merged[g] = merged[g] + c if g in merged else c
         terms = tuple(
             (g, merged[g])
             for g in sorted(merged)
@@ -417,13 +423,8 @@ class EvaluationContext:
         if isinstance(node, (Neg, Truncation)):
             return self._vmin_bound(node.child)
         if isinstance(node, Sum):
-            a = self._vmin_bound(node.left)
-            b = self._vmin_bound(node.right)
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a if a < b else b
+            bounds = (self._vmin_bound(s) for s in node.summands)
+            return min((v for v in bounds if v is not None), default=None)
         if isinstance(node, Product):
             a = self._vmin_bound(node.left)
             b = self._vmin_bound(node.right)
@@ -450,10 +451,7 @@ class EvaluationContext:
                 if g > bound:
                     break
                 acc[g] = acc[g] + ca * cb if g in acc else ca * cb
-        frontier = _fmin(
-            _fshift(a.frontier if not a.complete else None, vb),
-            _fshift(b.frontier if not b.complete else None, va),
-        )
+        frontier = _fmin(_fshift(a.frontier, vb), _fshift(b.frontier, va))
         terms = tuple(
             (g, acc[g])
             for g in sorted(acc)
@@ -467,10 +465,10 @@ class EvaluationContext:
         tl = self._eval(node.child, inner_bound)
         if node.inclusive:
             terms = tuple(t for t in tl.terms if not t[0] > cutoff)
-            covered = tl.complete or (tl.frontier is not None and cutoff < tl.frontier)
+            covered = tl.complete or cutoff < tl.frontier
         else:
             terms = tuple(t for t in tl.terms if t[0] < cutoff)
-            covered = tl.complete or (tl.frontier is not None and not tl.frontier < cutoff)
+            covered = tl.complete or not tl.frontier < cutoff
         if covered:
             return TermList(terms, True, None)
         return TermList(terms, False, tl.frontier)
@@ -484,7 +482,7 @@ class EvaluationContext:
         if node.witness is not None:
             g0 = node.witness
             prefix = self._eval(child, g0)
-            if not prefix.complete and (prefix.frontier is None or not g0 < prefix.frontier):
+            if not prefix.complete and not g0 < prefix.frontier:
                 raise TermBudgetExceeded(
                     "cannot verify inversion witness within the term budget"
                 )
@@ -655,7 +653,7 @@ def vmin(s: Series, horizon: Horizon) -> GroupElement:
 
 def coefficient_at(s: Series, g: GroupElement, horizon: Horizon) -> FieldElement:
     tl = EvaluationContext(horizon).coefficients(s, g)
-    if not tl.complete and (tl.frontier is None or not g < tl.frontier):
+    if not tl.complete and not g < tl.frontier:
         raise TermBudgetExceeded(f"coefficient at {g} not certain within budget")
     c = tl.coefficient_at(g)
     return s.field.zero if c is None else c
@@ -669,8 +667,7 @@ def equal_up_to(a: Series, b: Series, horizon: Horizon) -> bool:
     """
     ta = coefficients_up_to(a, horizon)
     tb = coefficients_up_to(b, horizon)
-    limit = _fmin(ta.frontier if not ta.complete else None,
-                  tb.frontier if not tb.complete else None)
+    limit = _fmin(ta.frontier, tb.frontier)
     fa = ta.terms if limit is None else tuple(t for t in ta.terms if t[0] < limit)
     fb = tb.terms if limit is None else tuple(t for t in tb.terms if t[0] < limit)
     return fa == fb

@@ -19,7 +19,7 @@ from .classify import classify_khull
 from .conditions import check_condition
 from .errors import FieldTooSmall, TermBudgetExceeded
 from .fields import QQ, FieldDescriptor, is_strictly_positive, prime_field
-from .groups import INTEGERS, RATIONALS, TRIVIAL, GroupDescriptor, group_zero
+from .groups import INTEGERS, RATIONALS, TRIVIAL, group_zero, unit_sample
 from .series import (
     EvaluationContext,
     Horizon,
@@ -361,17 +361,7 @@ def _probe_horizon(F: Family) -> Horizon:
     if not pts:
         return Horizon(group_zero(F.group))
     top = max(max(pts), -min(pts))
-    return Horizon(top + top + F.group.element(_one_value(F.group)))
-
-
-def _one_value(group: GroupDescriptor):
-    if group.kind == "Z^n":
-        return (1,) + (0,) * (group.rank - 1)
-    if group.kind == "trivial":
-        return 0
-    if group.kind == "Q":
-        return Fraction(1)
-    return 1
+    return Horizon(top + top + (unit_sample(F.group) or group_zero(F.group)))
 
 
 def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,

@@ -1,7 +1,18 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from hahnseries.cli import build_parser, main
+from oracle import DenseField, dense, dense_pairs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -220,3 +231,44 @@ def test_ratfunc_text_output_reparses():
     # JSON coefficients are unambiguous and stay bare
     code, out, _ = run_cli("eval", "(x+1)*t^(1)", "--field", "F3(x)", "--exp-bound", "2", "--json")
     assert json.loads(out)["terms"] == [{"exp": "1", "coef": "x+1"}]
+
+
+def test_eval_of_a_1500_term_sum_matches_the_oracle():
+    rng = random.Random(1500)
+    pairs = [(e, Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for e in range(1500)]
+    text = f"{pairs[0][1]}" + "".join(
+        f" {'-' if c < 0 else '+'} {abs(c)}*t^({e})" for e, c in pairs[1:]
+    )
+    code, out, err = run_cli("eval", text, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["complete"]
+    fld = DenseField()
+    got = [(int(t["exp"]), Fraction(t["coef"])) for t in payload["terms"]]
+    assert got == dense_pairs(dense(pairs, 1500, fld), fld)
+
+
+def test_a_flat_sum_spends_the_term_budget_once():
+    # the partial sums t + t^2 + t^3 and t + t^2 + t^3 - t would each
+    # exceed two terms, but the written sum is one node
+    code, out, err = run_cli(
+        "eval", "t^(1) + t^(2) + t^(3) - t^(1) - t^(2)", "--term-bound", "2", "--json"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"terms": [{"exp": "3", "coef": "1"}], "complete": True}
+
+
+@pytest.mark.parametrize("expression", [
+    "(" * 600 + "1" + ")" * 600,  # too deep for the parser
+    "*".join(["t^(1)"] * 1500),  # too deep for the evaluator
+])
+def test_too_deep_an_expression_exits_with_the_budget_code(expression):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hahnseries.cli", "eval", expression],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: expression nests too deeply to evaluate\n"
+    assert "Traceback" not in proc.stderr

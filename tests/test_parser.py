@@ -38,7 +38,7 @@ def parse_q(text):
 
 
 def is_sub(node):
-    return isinstance(node, Sum) and isinstance(node.right, Neg)
+    return isinstance(node, Sum) and isinstance(node.summands[-1], Neg)
 
 
 def shape(node):
@@ -130,10 +130,21 @@ def test_paren_disambiguation():
     assert isinstance(s.left, Monomial) and s.left.exponent.is_zero
 
 
+def test_a_written_sum_is_one_flat_node():
+    s = parse_q("1 - t^(1) + 2*t^(2) - t^(3)")
+    assert isinstance(s, Sum)
+    assert [type(x).__name__ for x in s.summands] == ["Monomial", "Neg", "Product", "Neg"]
+    assert not hasattr(s, "left") and not hasattr(s, "right")
+    # a parenthesised sum stays one summand, and renders with its parentheses
+    s = parse_q("(1 + t^(1)) + t^(2)")
+    assert len(s.summands) == 2 and isinstance(s.summands[0], Sum)
+    assert render_expression(s) == "(1 + t^(1)) + t^(2)"
+
+
 def test_unary_minus():
     s = parse_q("-t^(1) + 1")
     assert isinstance(s, Sum) and not is_sub(s)
-    assert isinstance(s.left, Neg)
+    assert isinstance(s.summands[0], Neg)
 
 
 def test_render_roundtrip_examples():
@@ -220,6 +231,9 @@ def test_default_bound_of_a_deep_sum():
     text = " + ".join(f"{k % 7 + 1}*t^({k})" for k in range(5000))
     s = parse_q(text)
     assert default_bound(s) == INTEGERS.element(4999)
+    tl = coefficients_up_to(s, Horizon(default_bound(s)))
+    assert tl.complete
+    assert [(g.value, c.value) for g, c in tl.terms] == [(k, k % 7 + 1) for k in range(5000)]
 
 
 def test_render_of_a_deep_sum_reparses():

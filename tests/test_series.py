@@ -15,7 +15,10 @@ from hahnseries.series import (
     EvaluationContext,
     GeometricTail,
     Horizon,
+    Neg,
+    Sum,
     TermList,
+    children,
     coefficient_at,
     coefficients_up_to,
     equal_up_to,
@@ -243,6 +246,24 @@ def test_term_budget_truncation_is_sound():
     for g, c in tl.terms:
         assert g < tl.frontier
         assert c == qq(1)
+    # the frontier is None exactly when the result is complete
+    full = coefficients_up_to(inv, Horizon(zq(20), 21))
+    assert full.complete and full.frontier is None
+    assert coefficients_up_to(inv, Horizon(zq(20), 20)).frontier == zq(20)
+
+
+def test_flat_sum_takes_the_least_summand_frontier():
+    # with a 4-term budget 1/(1 - t^5) is cut at 20 and 1/(1 - t) at 4;
+    # below 4 the latter cancels against the polynomial, leaving 1
+    slow = invert(poly((0, 1), (5, -1)), witness=zq(0))
+    fast = invert(poly((0, 1), (1, -1)), witness=zq(0))
+    s = Sum(slow, fast, Neg(poly((0, 1), (1, 1), (2, 1), (3, 1), (6, 1))))
+    tl = coefficients_up_to(s, H(30, 4))
+    assert (tl.complete, tl.frontier) == (False, zq(4))
+    assert as_pairs(tl) == [(0, 1)]
+    full = coefficients_up_to(s, H(30))
+    assert full.complete
+    assert [t for t in full.terms if t[0] < tl.frontier] == list(tl.terms)
 
 
 def test_lex_inverse_has_omega_support_below_bound():
@@ -344,8 +365,7 @@ def test_vmin_bound_computed_once_per_node_of_a_shared_dag():
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
-            stack.extend(getattr(node, a) for a in ("left", "right", "child")
-                         if hasattr(node, a))
+            stack.extend(children(node))
     ctx = EvaluationContext(Horizon(INTEGERS.element(5), 64))
     computed = []
     compute = ctx._compute_vmin_bound

@@ -137,7 +137,7 @@ def test_oracle_equivalence_random_expressions(p):
         expr = random_expression(rng)
         expected = dense_pairs(eval_dense(expr, 41, dense_fld), dense_fld)
         got = coefficients_up_to(_to_series(expr, fld), h)
-        assert got.complete
+        assert got.complete and got.frontier is None
         assert [(g.value, _raw(c)) for g, c in got.terms] == expected
 
 
