@@ -265,8 +265,10 @@ def _emit_terms(cfg: SessionConfig, tl, out):
         print(render_terms(tl), file=out)
 
 
-def _run_eval(args, out) -> int:
-    cfg = _session(args)
+def _evaluate(args, cfg: SessionConfig):
+    """The TermList of an evaluation command and the bound it used.  Only
+    these outlive the call, so the expression tree and the memo are freed
+    before the output is built."""
     parsed = series = parse_expression(args.expression, cfg.group, cfg.field)
     if args.command == "invert":
         witness = (
@@ -281,8 +283,12 @@ def _run_eval(args, out) -> int:
     bound = cfg.exp_bound if cfg.exp_bound is not None else default_bound(parsed)
     if bound is None:
         raise ParseError("--exp-bound is required for inv(...) without a g0 witness")
-    ctx = EvaluationContext(Horizon(bound, cfg.term_bound))
-    tl = ctx.coefficients(series)
+    return EvaluationContext(Horizon(bound, cfg.term_bound)).coefficients(series), bound
+
+
+def _run_eval(args, out) -> int:
+    cfg = _session(args)
+    tl, bound = _evaluate(args, cfg)
     if args.command == "support":
         if cfg.json_output:
             payload = {

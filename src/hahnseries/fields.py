@@ -8,8 +8,11 @@ ascending degree with a nonzero leading entry; () is the zero polynomial.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import DescriptorMismatch, UnorderedField
 
@@ -215,7 +218,49 @@ def _coerce_value(descriptor, value):
     raise ValueError(f"invalid value {value!r} for field {descriptor}")
 
 
-@dataclass(frozen=True)
+class FieldOps(NamedTuple):
+    """Arithmetic on the raw values of a field's elements, the canonical
+    forms ``FieldElement.value`` holds: Fractions for Q, residues in
+    [0, p) for F_p, (numerator, denominator) polynomial pairs for F_p(x).
+    Every operation returns a canonical form again, so raw values can be
+    compared, hashed and boxed without renormalising."""
+
+    add: Callable
+    mul: Callable
+    neg: Callable
+    inv: Callable  # of a nonzero value
+    is_zero: Callable
+    zero: object
+    one: object
+
+
+@functools.cache
+def raw_ops(descriptor: FieldDescriptor) -> FieldOps:
+    """The raw-value arithmetic of a field (see ``FieldOps``)."""
+    if descriptor.kind == RATIONALS_KIND:
+        return FieldOps(operator.add, operator.mul, operator.neg,
+                        lambda a: 1 / a, operator.not_, Fraction(0), Fraction(1))
+    p = descriptor.p
+    if descriptor.kind == PRIME_KIND:
+        return FieldOps(lambda a, b: (a + b) % p, lambda a, b: a * b % p,
+                        lambda a: -a % p, lambda a: pow(a, -1, p),
+                        operator.not_, 0, 1)
+
+    def add(a, b):
+        (an, ad), (bn, bd) = a, b
+        num = poly_add(poly_mul(an, bd, p), poly_mul(bn, ad, p), p)
+        return _ratfunc_normalize(num, poly_mul(ad, bd, p), p)
+
+    def mul(a, b):
+        (an, ad), (bn, bd) = a, b
+        return _ratfunc_normalize(poly_mul(an, bn, p), poly_mul(ad, bd, p), p)
+
+    return FieldOps(add, mul, lambda a: (poly_neg(a[0], p), a[1]),
+                    lambda a: _ratfunc_normalize(a[1], a[0], p),
+                    lambda a: not a[0], ((), (1,)), ((1,), (1,)))
+
+
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """An exact element of Q, F_p or F_p(x), always in canonical form."""
 
@@ -236,52 +281,28 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        kind = self.descriptor.kind
-        if kind == RATFUNC_KIND:
-            return self.value[0] == ()
-        return self.value == 0
+        return raw_ops(self.descriptor).is_zero(self.value)
 
     def __add__(self, other):
         other = self._check(other)
-        kind = self.descriptor.kind
-        if kind == RATFUNC_KIND:
-            p = self.descriptor.p
-            (an, ad), (bn, bd) = self.value, other.value
-            num = poly_add(poly_mul(an, bd, p), poly_mul(bn, ad, p), p)
-            return FieldElement(self.descriptor, (num, poly_mul(ad, bd, p)))
-        return FieldElement(self.descriptor, self.value + other.value)
+        value = raw_ops(self.descriptor).add(self.value, other.value)
+        return box_coefficient(self.descriptor, value)
 
     def __neg__(self):
-        kind = self.descriptor.kind
-        if kind == RATFUNC_KIND:
-            num, den = self.value
-            return FieldElement(self.descriptor, (poly_neg(num, self.descriptor.p), den))
-        return FieldElement(self.descriptor, -self.value)
+        return box_coefficient(self.descriptor, raw_ops(self.descriptor).neg(self.value))
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
     def __mul__(self, other):
         other = self._check(other)
-        kind = self.descriptor.kind
-        if kind == RATFUNC_KIND:
-            p = self.descriptor.p
-            (an, ad), (bn, bd) = self.value, other.value
-            return FieldElement(
-                self.descriptor, (poly_mul(an, bn, p), poly_mul(ad, bd, p))
-            )
-        return FieldElement(self.descriptor, self.value * other.value)
+        value = raw_ops(self.descriptor).mul(self.value, other.value)
+        return box_coefficient(self.descriptor, value)
 
     def inverse(self) -> FieldElement:
         if self.is_zero:
             raise ZeroDivisionError(f"inverting zero in {self.descriptor}")
-        kind = self.descriptor.kind
-        if kind == RATIONALS_KIND:
-            return FieldElement(self.descriptor, 1 / self.value)
-        if kind == PRIME_KIND:
-            return FieldElement(self.descriptor, pow(self.value, -1, self.descriptor.p))
-        num, den = self.value
-        return FieldElement(self.descriptor, (den, num))
+        return box_coefficient(self.descriptor, raw_ops(self.descriptor).inv(self.value))
 
     def __str__(self):
         kind = self.descriptor.kind
@@ -300,6 +321,15 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self.descriptor}, {self})"
+
+
+def box_coefficient(descriptor: FieldDescriptor, value) -> FieldElement:
+    """The element of a raw value already in canonical form, built without
+    normalising it again."""
+    c = object.__new__(FieldElement)
+    object.__setattr__(c, "descriptor", descriptor)
+    object.__setattr__(c, "value", value)
+    return c
 
 
 def f_add(a: FieldElement, b: FieldElement) -> FieldElement:

@@ -84,7 +84,7 @@ def _normalize(descriptor: GroupDescriptor, value):
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """An exact element of an ordered abelian group.
 
@@ -110,19 +110,15 @@ class GroupElement:
 
     def __add__(self, other):
         other = self._check(other)
-        if self.descriptor.kind == LEX_KIND:
-            value = tuple(a + b for a, b in zip(self.value, other.value))
-        else:
-            value = self.value + other.value
-        return GroupElement(self.descriptor, value)
+        add = raw_ops(self.descriptor)[0]
+        return box_exponent(self.descriptor, add(self.value, other.value))
 
     def __sub__(self, other):
         return self + (-self._check(other))
 
     def __neg__(self):
-        if self.descriptor.kind == LEX_KIND:
-            return GroupElement(self.descriptor, tuple(-a for a in self.value))
-        return GroupElement(self.descriptor, -self.value)
+        neg = raw_ops(self.descriptor)[1]
+        return box_exponent(self.descriptor, neg(self.value))
 
     def __lt__(self, other):
         other = self._check(other)
@@ -134,7 +130,9 @@ class GroupElement:
         return self.descriptor == other.descriptor and self.value == other.value
 
     def __hash__(self):
-        return hash((self.descriptor, self.value))
+        # equal elements have equal values; elements of different groups
+        # with equal values merely collide
+        return hash(self.value)
 
     @property
     def is_zero(self) -> bool:
@@ -142,9 +140,8 @@ class GroupElement:
 
     def scale(self, n: int) -> GroupElement:
         """n-fold sum of self (n may be negative)."""
-        if self.descriptor.kind == LEX_KIND:
-            return GroupElement(self.descriptor, tuple(n * a for a in self.value))
-        return GroupElement(self.descriptor, n * self.value)
+        scale = raw_ops(self.descriptor)[2]
+        return box_exponent(self.descriptor, scale(self.value, n))
 
     def __str__(self):
         if self.descriptor.kind == LEX_KIND:
@@ -153,6 +150,16 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.descriptor}, {self})"
+
+
+def box_exponent(descriptor: GroupDescriptor, value) -> GroupElement:
+    """The element of a raw value that is already normalised (an int, a
+    Fraction or an int tuple, as ``GroupElement.value`` holds it), built
+    without normalising it again."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "descriptor", descriptor)
+    object.__setattr__(g, "value", value)
+    return g
 
 
 def group_zero(descriptor: GroupDescriptor) -> GroupElement:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ParseError
 from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
@@ -44,7 +45,7 @@ from .series import (
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # NUM | NAME | OP | EOF
     text: str
@@ -52,8 +53,8 @@ class Token:
     column: int
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
+def _tokenize(text: str):
+    """Yield the tokens of the text, then one EOF token."""
     line = 1
     line_start = 0
     pos = 0
@@ -70,20 +71,29 @@ def _tokenize(text: str) -> list[Token]:
         m = _TOKEN.match(text, pos)
         col = pos - line_start + 1
         if m.group(1):
-            tokens.append(Token("NUM", m.group(1), line, col))
+            yield Token("NUM", m.group(1), line, col)
         elif m.group(2):
-            tokens.append(Token("NAME", m.group(2), line, col))
+            yield Token("NAME", m.group(2), line, col)
         else:
-            tokens.append(Token("OP", m.group(3), line, col))
+            yield Token("OP", m.group(3), line, col)
         pos = m.end()
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+    yield Token("EOF", "", line, len(text) - line_start + 1)
+
+
+_WINDOW = 256
 
 
 class _Parser:
+    """Reads the tokens as it goes: ``tokens`` is a window of them that
+    holds the current one, at ``i``, and the next one unless the current
+    one is EOF, so a long expression never holds all its tokens at once.
+    The window keeps its start while a backtracking mark is open."""
+
     def __init__(self, text: str, group: GroupDescriptor, fld: FieldDescriptor):
-        self.tokens = _tokenize(text)
+        self.stream = _tokenize(text)
+        self.tokens = list(islice(self.stream, _WINDOW))
         self.i = 0
+        self.marks = 0
         self.group = group
         self.field = fld
 
@@ -95,6 +105,11 @@ class _Parser:
     def advance(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
+        if len(self.tokens) - self.i < 2:
+            if not self.marks:
+                del self.tokens[: self.i]
+                self.i = 0
+            self.tokens.extend(islice(self.stream, _WINDOW))
         return tok
 
     def error(self, message: str, tok: Token | None = None):
@@ -171,10 +186,13 @@ class _Parser:
         if tok.text == "(":
             if self.field.kind == "Fp(x)":
                 mark = self.i
+                self.marks += 1
                 try:
                     return Monomial(self.ratfunc(), group_zero(self.group))
                 except ParseError:
                     self.i = mark
+                finally:
+                    self.marks -= 1
             self.advance()
             node = self.expr()
             self.expect(")")
@@ -334,18 +352,18 @@ def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
 # rendering and the default evaluation bound
 
 def render_expression(node: Series) -> str:
-    """Expression text for a node tree of the kind the parser builds.
-    Raises TypeError for nodes the grammar cannot write."""
-    if isinstance(node, Monomial) and node.exponent.is_zero:
-        return coefficient_text(node.coefficient)
-    if isinstance(node, Monomial) and node.coefficient == node.field.one:
-        return f"t^({node.exponent})"
+    """Expression text for a node tree.  A tree the parser built reparses
+    to the same tree; a monomial c*t^(g) the library built, or one with a
+    negative coefficient, reparses to the same value.  Raises TypeError
+    for nodes the grammar cannot write."""
+    if isinstance(node, Monomial):
+        sign, body = _monomial_text(node)
+        return sign + body
     if isinstance(node, Sum):
         first, *rest = node.summands
         head = render_expression(first)
         return (f"({head})" if isinstance(first, Sum) else head) + "".join(
-            f" - {_wrap_additive(r.child)}" if isinstance(r, Neg) else f" + {_wrap_additive(r)}"
-            for r in rest
+            f" {sign} {body}" for sign, body in map(_summand_text, rest)
         )
     if isinstance(node, Product):
         right = _wrap_additive(node.right)
@@ -363,9 +381,34 @@ def render_expression(node: Series) -> str:
     raise TypeError(f"the grammar cannot write this {type(node).__name__} node")
 
 
+def _monomial_text(node: Monomial) -> tuple[str, str]:
+    """The sign ("" or "-") and the unsigned text of a monomial."""
+    c, g = node.coefficient, node.exponent
+    sign = ""
+    if node.field.is_ordered and c.value < 0:
+        sign, c = "-", -c
+    if g.is_zero:
+        return sign, coefficient_text(c)
+    if c == node.field.one:
+        return sign, f"t^({g})"
+    return sign, f"{coefficient_text(c)}*t^({g})"
+
+
+def _summand_text(node: Series) -> tuple[str, str]:
+    """The operator and text of a summand after the first."""
+    if isinstance(node, Neg):
+        return "-", _wrap_additive(node.child)
+    if isinstance(node, Monomial):
+        sign, body = _monomial_text(node)
+        return sign or "+", body
+    return "+", _wrap_additive(node)
+
+
 def _wrap_additive(node: Series) -> str:
+    """The text of an operand, parenthesised when it is a sum or starts
+    with a sign."""
     text = render_expression(node)
-    if isinstance(node, (Sum, Neg)):
+    if isinstance(node, Sum) or text.startswith("-"):
         return f"({text})"
     return text
 

@@ -25,6 +25,8 @@ nonzero coefficient, which then becomes the frontier.
 from __future__ import annotations
 
 import heapq
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,8 +36,10 @@ from .errors import (
     TermBudgetExceeded,
     ZeroUpToHorizon,
 )
-from .fields import FieldDescriptor, FieldElement
-from .groups import GroupDescriptor, GroupElement, group_zero
+from .fields import FieldDescriptor, FieldElement, box_coefficient
+from .fields import raw_ops as field_ops
+from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
+from .groups import raw_ops as group_ops
 
 DEFAULT_TERM_BOUND = 10000
 
@@ -287,9 +291,14 @@ class InversionFactorization:
 
 
 # ---------------------------------------------------------------------------
-# frontier helpers; None means "no limit" (+infinity)
+# evaluation core.  Inside a context exponents are raw group values and
+# coefficients raw field values (``groups.raw_ops``, ``fields.raw_ops``):
+# a node evaluates to the pair (terms, frontier) of a TermList, with raw
+# (g, c) terms and a raw frontier that is None exactly when complete.
+# Values are boxed only where they leave the context.
 
-def _fmin(a: GroupElement | None, b: GroupElement | None):
+def _fmin(a, b):
+    """The lesser of two frontiers, where None means no limit."""
     if a is None:
         return b
     if b is None:
@@ -297,8 +306,39 @@ def _fmin(a: GroupElement | None, b: GroupElement | None):
     return a if a < b else b
 
 
-def _fshift(f: GroupElement | None, v: GroupElement):
-    return None if f is None else f + v
+_exponent = operator.itemgetter(0)
+
+
+def _prefix(terms, bound):
+    """The terms with exponent <= bound."""
+    return terms[:bisect_right(terms, bound, key=_exponent)]
+
+
+def _collect(acc, frontier, ops):
+    """The nonzero entries of an exponent -> coefficient dict below the
+    frontier, as a (terms, frontier) result."""
+    is_zero = ops.is_zero
+    terms = tuple(
+        (g, acc[g])
+        for g in sorted(acc)
+        if not is_zero(acc[g]) and (frontier is None or g < frontier)
+    )
+    return terms, frontier
+
+
+def _is_term(node: Series) -> bool:
+    """Whether the node is a monomial or a product of two, like the
+    c*t^(g) of a written term: cheaper to expand again than to memoise."""
+    return isinstance(node, Monomial) or (
+        isinstance(node, Product)
+        and isinstance(node.left, Monomial)
+        and isinstance(node.right, Monomial)
+    )
+
+
+def _box_terms(node: Series, terms) -> tuple:
+    group, fld = node.group, node.field
+    return tuple((box_exponent(group, g), box_coefficient(fld, c)) for g, c in terms)
 
 
 class EvaluationContext:
@@ -306,14 +346,23 @@ class EvaluationContext:
 
     One context is single threaded; clones share nothing mutable, so they
     can run in parallel.  TermLists are immutable and freely shareable.
+    The complete result of each node but a term (see ``_is_term``) is
+    memoised once, at the largest bound asked, with its boxed terms
+    beside the raw ones once a caller has asked for them; a query below
+    that bound is a bisect and a slice.
     """
 
     def __init__(self, horizon: Horizon):
         self.horizon = horizon
-        self._complete_cache: dict[int, tuple[Series, GroupElement, TermList]] = {}
-        self._exact_cache: dict[tuple[int, GroupElement], tuple[Series, TermList]] = {}
+        # id -> (node, raw bound, raw terms, boxed terms or None)
+        self._complete_cache: dict[int, tuple] = {}
+        # (id, raw bound) -> (node, (raw terms, raw frontier)) when truncated
+        self._exact_cache: dict[tuple, tuple] = {}
         self._inversions: dict[int, tuple[Series, InversionFactorization, Series]] = {}
-        self._vmin_bounds: dict[int, tuple[Series, GroupElement | None]] = {}
+        # id -> (node, raw lower bound for min supp, None for the zero series)
+        self._vmin_bounds: dict[int, tuple] = {}
+        # id -> (node, raw terms) of each Literal evaluated
+        self._literals: dict[int, tuple] = {}
 
     def clone(self) -> EvaluationContext:
         other = EvaluationContext(self.horizon)
@@ -321,6 +370,7 @@ class EvaluationContext:
         other._exact_cache = dict(self._exact_cache)
         other._inversions = dict(self._inversions)
         other._vmin_bounds = dict(self._vmin_bounds)
+        other._literals = dict(self._literals)
         return other
 
     # -- public ---------------------------------------------------------
@@ -329,7 +379,19 @@ class EvaluationContext:
         bound = self.horizon.exp_bound if exp_bound is None else exp_bound
         if bound.descriptor != s.group:
             raise DescriptorMismatch("exponent bound uses a different group")
-        return self._eval(s, bound)
+        terms, frontier = self._eval(s, bound.value)
+        if frontier is not None:
+            return TermList(_box_terms(s, terms), False, box_exponent(s.group, frontier))
+        key = id(s)
+        hit = self._complete_cache.get(key)
+        if hit is None:  # a term, which is not memoised
+            return TermList(_box_terms(s, terms))
+        # a complete result is a prefix of the memoised one
+        node, top, raw, boxed = hit
+        if boxed is None:
+            boxed = _box_terms(s, raw)
+            self._complete_cache[key] = (node, top, raw, boxed)
+        return TermList(boxed[:len(terms)], True, None)
 
     def resolve_inversion(self, s: Series) -> InversionFactorization:
         if isinstance(s, Inverse):
@@ -338,43 +400,45 @@ class EvaluationContext:
 
     # -- evaluation core --------------------------------------------------
 
-    def _eval(self, node: Series, bound: GroupElement) -> TermList:
+    def _eval(self, node: Series, bound):
+        if _is_term(node):
+            return self._expand(node, bound)
         key = id(node)
         hit = self._complete_cache.get(key)
         if hit is not None and not bound > hit[1]:
-            terms = tuple(t for t in hit[2].terms if not t[0] > bound)
-            return TermList(terms, True, None)
+            return _prefix(hit[2], bound), None
         exact = self._exact_cache.get((key, bound))
         if exact is not None:
             return exact[1]
         result = self._cap(self._expand(node, bound))
-        if result.complete:
+        if result[1] is None:
             if hit is None or hit[1] < bound:
-                self._complete_cache[key] = (node, bound, result)
+                self._complete_cache[key] = (node, bound, result[0], None)
         else:
             self._exact_cache[(key, bound)] = (node, result)
         return result
 
-    def _cap(self, tl: TermList) -> TermList:
+    def _cap(self, result):
+        # every listed term lies below the frontier, so the first cap
+        # terms lie below the new one
+        terms, frontier = result
         cap = self.horizon.term_bound
-        if len(tl.terms) <= cap:
-            return tl
-        frontier = _fmin(tl.frontier, tl.terms[cap][0])
-        kept = tuple(t for t in tl.terms[:cap] if t[0] < frontier)
-        return TermList(kept, False, frontier)
+        if len(terms) <= cap:
+            return result
+        return terms[:cap], _fmin(frontier, terms[cap][0])
 
-    def _expand(self, node: Series, bound: GroupElement) -> TermList:
+    def _expand(self, node: Series, bound):
         if isinstance(node, Monomial):
-            if node.coefficient.is_zero or node.exponent > bound:
-                return TermList(())
-            return TermList(((node.exponent, node.coefficient),))
+            g, c = node.exponent.value, node.coefficient.value
+            if g > bound or field_ops(node.field).is_zero(c):
+                return (), None
+            return ((g, c),), None
         if isinstance(node, Literal):
-            return TermList(tuple(t for t in node.terms if not t[0] > bound))
+            return _prefix(self._raw_literal(node), bound), None
         if isinstance(node, Neg):
-            tl = self._eval(node.child, bound)
-            return TermList(
-                tuple((g, -c) for g, c in tl.terms), tl.complete, tl.frontier
-            )
+            terms, frontier = self._eval(node.child, bound)
+            neg = field_ops(node.field).neg
+            return tuple((g, neg(c)) for g, c in terms), frontier
         if isinstance(node, Sum):
             return self._expand_sum(node, bound)
         if isinstance(node, Product):
@@ -388,25 +452,31 @@ class EvaluationContext:
             return self._expand_tail(node, bound)
         raise TypeError(f"unknown series node {type(node).__name__}")
 
-    def _expand_sum(self, node: Sum, bound: GroupElement) -> TermList:
-        frontier = None
-        merged: dict[GroupElement, FieldElement] = {}
-        for summand in node.summands:
-            tl = self._eval(summand, bound)
-            frontier = _fmin(frontier, tl.frontier)
-            for g, c in tl.terms:
-                merged[g] = merged[g] + c if g in merged else c
-        terms = tuple(
-            (g, merged[g])
-            for g in sorted(merged)
-            if not merged[g].is_zero and (frontier is None or g < frontier)
-        )
-        return TermList(terms, frontier is None, frontier)
+    def _raw_literal(self, node: Literal) -> tuple:
+        hit = self._literals.get(id(node))
+        if hit is None:
+            raw = tuple((g.value, c.value) for g, c in node.terms)
+            hit = self._literals[id(node)] = (node, raw)
+        return hit[1]
 
-    def _vmin_bound(self, node: Series) -> GroupElement | None:
+    def _expand_sum(self, node: Sum, bound):
+        ops = field_ops(node.field)
+        add = ops.add
+        frontier = None
+        merged = {}
+        for summand in node.summands:
+            terms, f = self._eval(summand, bound)
+            frontier = _fmin(frontier, f)
+            for g, c in terms:
+                merged[g] = add(merged[g], c) if g in merged else c
+        return _collect(merged, frontier, ops)
+
+    def _vmin_bound(self, node: Series):
         """A guaranteed lower bound for min supp, or None when the node is
         provably the zero series.  Memoised per node, so a DAG with sharing
-        computes each bound once."""
+        computes each bound once; a term's bound is read off directly."""
+        if _is_term(node):
+            return self._compute_vmin_bound(node)
         key = id(node)
         hit = self._vmin_bounds.get(key)
         if hit is not None:
@@ -415,11 +485,11 @@ class EvaluationContext:
         self._vmin_bounds[key] = (node, value)
         return value
 
-    def _compute_vmin_bound(self, node: Series) -> GroupElement | None:
+    def _compute_vmin_bound(self, node: Series):
         if isinstance(node, Monomial):
-            return None if node.coefficient.is_zero else node.exponent
+            return None if node.coefficient.is_zero else node.exponent.value
         if isinstance(node, Literal):
-            return node.terms[0][0] if node.terms else None
+            return node.terms[0][0].value if node.terms else None
         if isinstance(node, (Neg, Truncation)):
             return self._vmin_bound(node.child)
         if isinstance(node, Sum):
@@ -430,48 +500,45 @@ class EvaluationContext:
             b = self._vmin_bound(node.right)
             if a is None or b is None:
                 return None
-            return a + b
+            return group_ops(node.group)[0](a, b)
         if isinstance(node, GeometricTail):
-            return group_zero(node.group)
+            return group_zero(node.group).value
         if isinstance(node, Inverse):
-            return -self._resolve(node)[0].g0
+            return (-self._resolve(node)[0].g0).value
         raise TypeError(f"unknown series node {type(node).__name__}")
 
-    def _expand_product(self, node: Product, bound: GroupElement) -> TermList:
+    def _expand_product(self, node: Product, bound):
         va = self._vmin_bound(node.left)
         vb = self._vmin_bound(node.right)
         if va is None or vb is None:
-            return TermList(())
-        a = self._eval(node.left, bound - vb)
-        b = self._eval(node.right, bound - va)
-        acc: dict[GroupElement, FieldElement] = {}
-        for ga, ca in a.terms:
-            for gb, cb in b.terms:
-                g = ga + gb
+            return (), None
+        gadd, gneg, _ = group_ops(node.group)
+        a, fa = self._eval(node.left, gadd(bound, gneg(vb)))
+        b, fb = self._eval(node.right, gadd(bound, gneg(va)))
+        ops = field_ops(node.field)
+        add, mul = ops.add, ops.mul
+        acc = {}
+        for ga, ca in a:
+            for gb, cb in b:
+                g = gadd(ga, gb)
                 if g > bound:
                     break
-                acc[g] = acc[g] + ca * cb if g in acc else ca * cb
-        frontier = _fmin(_fshift(a.frontier, vb), _fshift(b.frontier, va))
-        terms = tuple(
-            (g, acc[g])
-            for g in sorted(acc)
-            if not acc[g].is_zero and (frontier is None or g < frontier)
-        )
-        return TermList(terms, frontier is None, frontier)
+                acc[g] = add(acc[g], mul(ca, cb)) if g in acc else mul(ca, cb)
+        frontier = _fmin(None if fa is None else gadd(fa, vb),
+                         None if fb is None else gadd(fb, va))
+        return _collect(acc, frontier, ops)
 
-    def _expand_truncation(self, node: Truncation, bound: GroupElement) -> TermList:
-        cutoff = node.cutoff
-        inner_bound = bound if bound < cutoff else cutoff
-        tl = self._eval(node.child, inner_bound)
+    def _expand_truncation(self, node: Truncation, bound):
+        cutoff = node.cutoff.value
+        terms, frontier = self._eval(node.child, bound if bound < cutoff else cutoff)
+        # the child was evaluated up to the cutoff at most
         if node.inclusive:
-            terms = tuple(t for t in tl.terms if not t[0] > cutoff)
-            covered = tl.complete or cutoff < tl.frontier
+            covered = frontier is None or cutoff < frontier
         else:
-            terms = tuple(t for t in tl.terms if t[0] < cutoff)
-            covered = tl.complete or not tl.frontier < cutoff
-        if covered:
-            return TermList(terms, True, None)
-        return TermList(terms, False, tl.frontier)
+            if terms and not terms[-1][0] < cutoff:
+                terms = terms[:-1]
+            covered = frontier is None or not frontier < cutoff
+        return terms, None if covered else frontier
 
     def _resolve(self, node: Inverse) -> tuple[InversionFactorization, Series]:
         key = id(node)
@@ -480,29 +547,32 @@ class EvaluationContext:
             return hit[1], hit[2]
         child = node.child
         if node.witness is not None:
-            g0 = node.witness
-            prefix = self._eval(child, g0)
-            if not prefix.complete and not g0 < prefix.frontier:
+            g0 = node.witness.value
+            terms, frontier = self._eval(child, g0)
+            if frontier is not None and not g0 < frontier:
                 raise TermBudgetExceeded(
                     "cannot verify inversion witness within the term budget"
                 )
-            lead = prefix.coefficient_at(g0)
-            if lead is None or (prefix.terms and prefix.terms[0][0] < g0):
+            # the prefix ends at g0, so g0 leads exactly when it comes first
+            if not terms or terms[0][0] != g0:
                 raise InvalidWitness(
-                    f"witness exponent {g0} is not the leading support point"
+                    f"witness exponent {node.witness} is not the leading support point"
                 )
         else:
             search_bound = self.horizon.exp_bound
-            prefix = self._eval(child, search_bound)
-            if not prefix.terms:
-                if prefix.complete:
+            if search_bound.descriptor != node.group:
+                raise DescriptorMismatch("horizon bound uses a different group")
+            terms, frontier = self._eval(child, search_bound.value)
+            if not terms:
+                if frontier is None:
                     raise ZeroUpToHorizon(
                         f"no nonzero coefficient at or below {search_bound}"
                     )
                 raise TermBudgetExceeded(
                     "zero search exhausted the term budget before any support point"
                 )
-            g0, lead = prefix.terms[0]
+        g0 = box_exponent(node.group, terms[0][0])
+        lead = box_coefficient(node.field, terms[0][1])
         neg_inv_lead = (-lead).inverse()
         tail = Sum(child, Neg(Monomial(lead, g0)))
         epsilon = Product(Monomial(neg_inv_lead, -g0), tail)
@@ -511,48 +581,58 @@ class EvaluationContext:
         self._inversions[key] = (node, fact, expansion)
         return fact, expansion
 
-    def _expand_tail(self, node: GeometricTail, bound: GroupElement) -> TermList:
+    def _expand_tail(self, node: GeometricTail, bound):
         """(1 - base)^-1 by online division over the closure of supp(base),
         with the frontier rule of the module docstring."""
-        zero = group_zero(node.group)
-        one = node.field.one
-        base = self._eval(node.base, bound if zero < bound else zero)
-        if not base.terms:
-            if base.complete:
-                return TermList(((zero, one),) if not zero > bound else ())
+        zero = group_zero(node.group).value
+        ops = field_ops(node.field)
+        base, frontier = self._eval(node.base, bound if zero < bound else zero)
+        if not base:
+            if frontier is None:
+                return ((zero, ops.one),) if not zero > bound else (), None
             raise TermBudgetExceeded(
                 "geometric tail base could not be enumerated within the term budget"
             )
-        m = base.terms[0][0]
+        m = base[0][0]
         if not zero < m:
             raise PreconditionViolation(
-                f"geometric tail base has leading exponent {m} <= 0"
+                f"geometric tail base has leading exponent {box_exponent(node.group, m)} <= 0"
             )
-        strict = not base.complete and not bound < base.frontier
-        limit = base.frontier if strict else bound
-        eps = [c for _, c in base.terms]
+        strict = frontier is not None and not bound < frontier
+        limit = frontier if strict else bound
+        gens = [g for g, _ in base]
+        eps = [c for _, c in base]
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
         cap = self.horizon.term_bound
-        values: list[FieldElement] = []
+        values = []
         terms = []
-        for g, preds in closure_walk(node.group, base.support(), limit, strict):
-            c = sum((eps[i] * values[k] for i, k in preds), node.field.zero) if preds else one
+        for g, preds in closure_walk(node.group, gens, limit, strict):
+            if not preds:
+                c = ops.one  # the empty sum, g = 0
+            else:
+                (i, k), *rest = preds
+                c = mul(eps[i], values[k])
+                for i, k in rest:
+                    c = add(c, mul(eps[i], values[k]))
             values.append(c)
-            if not c.is_zero:
+            if not is_zero(c):
                 if len(terms) == cap:
-                    return TermList(tuple(terms), False, g)
+                    return tuple(terms), g
                 terms.append((g, c))
-        return TermList(tuple(terms), base.complete, base.frontier)
+        return tuple(terms), frontier
 
 
-def closure_walk(group: GroupDescriptor, gens, limit: GroupElement, strict: bool):
-    """The finite sums of ``gens`` (positive, increasing) up to ``limit``,
-    or strictly below it, in increasing order by a heap walk.  Each sum s
-    comes with its predecessors, the pairs (i, k) with s = gens[i] + the
-    k-th sum yielded, so a recurrence over the closure can be solved as
-    it is walked."""
+def closure_walk(group: GroupDescriptor, gens, limit, strict: bool):
+    """The finite sums of ``gens`` (raw values of the group, positive,
+    increasing) up to the raw ``limit``, or strictly below it, in
+    increasing order by a heap walk.  Each sum s comes with its
+    predecessors, the pairs (i, k) with s = gens[i] + the k-th sum
+    yielded, so a recurrence over the closure can be solved as it is
+    walked."""
     def out(s):
         return not s < limit if strict else limit < s
-    zero = group_zero(group)
+    add = group_ops(group)[0]
+    zero = group_zero(group).value
     preds = {zero: []}
     heap = [] if out(zero) else [zero]
     k = 0
@@ -560,7 +640,7 @@ def closure_walk(group: GroupDescriptor, gens, limit: GroupElement, strict: bool
         x = heapq.heappop(heap)
         yield x, preds.pop(x)
         for i, h in enumerate(gens):
-            s = x + h
+            s = add(x, h)
             if out(s):
                 break  # gens increase, so every later sum is out too
             if s not in preds:

@@ -22,6 +22,7 @@ from .fields import FieldDescriptor
 from .groups import (
     GroupDescriptor,
     GroupElement,
+    box_exponent,
     group_zero,
     subgroup_contains,
 )
@@ -294,9 +295,10 @@ def finite_sums_closure(A: SupportSet, h: Horizon) -> SupportSet:
     if A.bound is not None and not bound < A.bound:
         bound = A.bound
         exclusive = A.budget_hit
-    gens = [p for p in A.points if not p.is_zero]
+    gens = [p.value for p in A.points if not p.is_zero]
     emitted = []
-    for x, _ in closure_walk(A.group, gens, bound, exclusive):
+    for x, _ in closure_walk(A.group, gens, bound.value, exclusive):
+        x = box_exponent(A.group, x)
         if len(emitted) >= h.term_bound:
             return SupportSet(A.group, tuple(emitted), x, True)
         emitted.append(x)

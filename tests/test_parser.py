@@ -263,3 +263,56 @@ def test_ratfunc_text_reparses_to_the_same_terms():
         assert coefficients_up_to(
             parse_expression(render_expression(s), INTEGERS, F3X), h
         ) == tl, text
+
+
+def test_render_writes_library_monomials():
+    assert render_expression(Monomial(QQ.element(2), INTEGERS.element(3))) == "2*t^(3)"
+    half = Monomial(QQ.element(Fraction(-1, 2)), INTEGERS.zero)
+    s = Sum(Monomial(QQ.one, INTEGERS.element(1)), half)
+    assert render_expression(s) == "t^(1) - 1/2"
+    h = Horizon(INTEGERS.element(4))
+    for node in (Monomial(QQ.element(2), INTEGERS.element(3)), s):
+        assert coefficients_up_to(parse_q(render_expression(node)), h) == \
+            coefficients_up_to(node, h)
+
+
+def _random_monomial_tree(rng, fld, depth=0):
+    if depth >= 3 or rng.random() < 0.4:
+        if fld.is_ordered:
+            c = fld.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        else:
+            c = fld.element(rng.randint(0, fld.p - 1))
+        return Monomial(c, INTEGERS.element(rng.choice((0, rng.randint(-4, 6)))))
+    kind = rng.choice(["add", "sub", "mul", "neg", "many"])
+    if kind == "neg":
+        return Neg(_random_monomial_tree(rng, fld, depth + 1))
+    if kind == "many":
+        return Sum(*(_random_monomial_tree(rng, fld, depth + 1) for _ in range(rng.randint(2, 4))))
+    left, right = (_random_monomial_tree(rng, fld, depth + 1) for _ in range(2))
+    if kind == "mul":
+        return Product(left, right)
+    return Sum(left, right if kind == "add" else Neg(right))
+
+
+@pytest.mark.parametrize("fld", [QQ, prime_field(7)], ids=str)
+def test_rendered_library_monomials_reparse_to_the_same_value(fld):
+    rng = random.Random(4711)
+    h = Horizon(INTEGERS.element(8))
+    for _ in range(200):
+        s = _random_monomial_tree(rng, fld)
+        text = render_expression(s)
+        assert coefficients_up_to(parse_expression(text, INTEGERS, fld), h) == \
+            coefficients_up_to(s, h), text
+
+
+def test_long_inputs_parse_across_token_windows():
+    # each group is tried as an F_p(x) coefficient first, then reparsed as
+    # a series; the 2000 tokens span several windows of the token reader
+    text = " + ".join(f"(1 + {k % 2 + 1}*t^({k + 1}))" for k in range(200))
+    tl = coefficients_up_to(parse_expression(text, INTEGERS, F3X), Horizon(INTEGERS.element(200)))
+    assert [(g.value, str(c)) for g, c in tl.terms] == [(0, "2")] + [
+        (k + 1, str(k % 2 + 1)) for k in range(200)
+    ]
+    with pytest.raises(ParseError) as info:
+        parse_q("t^(1) + " * 300 + "* 2")
+    assert info.value.column == len("t^(1) + ") * 300 + 1

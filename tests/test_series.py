@@ -9,7 +9,7 @@ from hahnseries.errors import (
     TermBudgetExceeded,
     ZeroUpToHorizon,
 )
-from hahnseries.fields import QQ, prime_field
+from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, TRIVIAL, lex_product
 from hahnseries.series import (
     EvaluationContext,
@@ -323,6 +323,42 @@ def test_memo_reuse_across_bounds():
     assert small.complete
     assert as_pairs(small) == [(0, 1), (1, 1), (2, 2), (3, 3)]
     assert full.terms[:4] == small.terms
+
+
+def _memo_cases():
+    f3x = rational_functions(3)
+    x = f3x.element(((0, 1), (1,)))
+    ratfunc = from_terms(INTEGERS, f3x, [(zq(0), f3x.one), (zq(1), -x), (zq(3), -f3x.one)])
+    omega = from_terms(LEX2, QQ, [(LEX2.element(g), QQ.one) for g in ((0, 0), (0, 1), (1, -3))])
+    return [
+        pytest.param(invert(poly((0, 1), (1, -1), (2, -1))), H(40),
+                     [zq(b) for b in (40, 40, 25, 7, 0, -1)], id="Q"),
+        pytest.param(invert(poly((0, 2), (1, 3), (3, 1), fld=F5)) * poly((0, 1), (2, 4), fld=F5),
+                     H(30), [zq(b) for b in (30, 18, 18, 2)], id="F5"),
+        pytest.param(invert(ratfunc), H(12), [zq(b) for b in (12, 9, 9, 4, 0)], id="F3(x)"),
+        # the top bound is truncated by the term bound and memoised in the
+        # exact cache; the lower ones are complete
+        pytest.param(invert(omega), Horizon(LEX2.element((3, 0)), 60),
+                     [LEX2.element(g) for g in ((3, 0), (3, 0), (1, 0), (0, 70), (0, 59), (0, 10))],
+                     id="Z^2 omega-block"),
+    ]
+
+
+@pytest.mark.parametrize("node, horizon, bounds", _memo_cases())
+def test_memo_hits_equal_fresh_evaluations(node, horizon, bounds):
+    shared = EvaluationContext(horizon)
+    for bound in bounds:
+        tl = shared.coefficients(node, bound)
+        fresh = EvaluationContext(horizon).coefficients(node, bound)
+        assert tl == fresh
+        assert (tl.complete, tl.frontier) == (fresh.complete, fresh.frontier)
+
+
+def test_omega_block_memo_case_is_truncated_at_the_top():
+    node, horizon, bounds = _memo_cases()[-1].values
+    ctx = EvaluationContext(horizon)
+    assert [ctx.coefficients(node, b).complete for b in bounds] == [
+        False, False, False, False, True, True]
 
 
 def test_context_clone_is_independent():
