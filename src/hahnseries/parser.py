@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import ParseError
 from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
@@ -53,8 +52,8 @@ class Token:
     column: int
 
 
-def _tokenize(text: str):
-    """Yield the tokens of the text, then one EOF token."""
+def _tokenize(text: str) -> list[Token]:
+    tokens = []
     line = 1
     line_start = 0
     pos = 0
@@ -71,29 +70,20 @@ def _tokenize(text: str):
         m = _TOKEN.match(text, pos)
         col = pos - line_start + 1
         if m.group(1):
-            yield Token("NUM", m.group(1), line, col)
+            tokens.append(Token("NUM", m.group(1), line, col))
         elif m.group(2):
-            yield Token("NAME", m.group(2), line, col)
+            tokens.append(Token("NAME", m.group(2), line, col))
         else:
-            yield Token("OP", m.group(3), line, col)
+            tokens.append(Token("OP", m.group(3), line, col))
         pos = m.end()
-    yield Token("EOF", "", line, len(text) - line_start + 1)
-
-
-_WINDOW = 256
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
-    """Reads the tokens as it goes: ``tokens`` is a window of them that
-    holds the current one, at ``i``, and the next one unless the current
-    one is EOF, so a long expression never holds all its tokens at once.
-    The window keeps its start while a backtracking mark is open."""
-
     def __init__(self, text: str, group: GroupDescriptor, fld: FieldDescriptor):
-        self.stream = _tokenize(text)
-        self.tokens = list(islice(self.stream, _WINDOW))
+        self.tokens = _tokenize(text)
         self.i = 0
-        self.marks = 0
         self.group = group
         self.field = fld
 
@@ -105,11 +95,6 @@ class _Parser:
     def advance(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
-        if len(self.tokens) - self.i < 2:
-            if not self.marks:
-                del self.tokens[: self.i]
-                self.i = 0
-            self.tokens.extend(islice(self.stream, _WINDOW))
         return tok
 
     def error(self, message: str, tok: Token | None = None):
@@ -186,13 +171,10 @@ class _Parser:
         if tok.text == "(":
             if self.field.kind == "Fp(x)":
                 mark = self.i
-                self.marks += 1
                 try:
                     return Monomial(self.ratfunc(), group_zero(self.group))
                 except ParseError:
                     self.i = mark
-                finally:
-                    self.marks -= 1
             self.advance()
             node = self.expr()
             self.expect(")")

@@ -179,9 +179,10 @@ class Monomial(Series):
 
 
 class Literal(Series):
-    """An explicit finite series, exact everywhere."""
+    """An explicit finite series, exact everywhere.  ``raw_terms`` holds
+    the raw values of ``terms``, which the evaluator reads."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "raw_terms")
 
     def __init__(self, group, fld, terms):
         super().__init__(group, fld)
@@ -194,6 +195,7 @@ class Literal(Series):
             (g, combined[g]) for g in sorted(combined) if not combined[g].is_zero
         )
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "raw_terms", tuple((g.value, c.value) for g, c in cleaned))
 
 
 class Sum(Series):
@@ -326,14 +328,9 @@ def _collect(acc, frontier, ops):
     return terms, frontier
 
 
-def _is_term(node: Series) -> bool:
-    """Whether the node is a monomial or a product of two, like the
-    c*t^(g) of a written term: cheaper to expand again than to memoise."""
-    return isinstance(node, Monomial) or (
-        isinstance(node, Product)
-        and isinstance(node.left, Monomial)
-        and isinstance(node.right, Monomial)
-    )
+# A leaf holds its own terms, so evaluating one again costs no more than
+# a memo hit: leaves are not memoised.
+_LEAVES = (Monomial, Literal)
 
 
 def _box_terms(node: Series, terms) -> tuple:
@@ -346,10 +343,10 @@ class EvaluationContext:
 
     One context is single threaded; clones share nothing mutable, so they
     can run in parallel.  TermLists are immutable and freely shareable.
-    The complete result of each node but a term (see ``_is_term``) is
-    memoised once, at the largest bound asked, with its boxed terms
-    beside the raw ones once a caller has asked for them; a query below
-    that bound is a bisect and a slice.
+    The complete result of each node but a leaf is memoised once, at the
+    largest bound asked, with its boxed terms beside the raw ones once a
+    caller has asked for them; a query below that bound is a bisect and a
+    slice.
     """
 
     def __init__(self, horizon: Horizon):
@@ -361,8 +358,6 @@ class EvaluationContext:
         self._inversions: dict[int, tuple[Series, InversionFactorization, Series]] = {}
         # id -> (node, raw lower bound for min supp, None for the zero series)
         self._vmin_bounds: dict[int, tuple] = {}
-        # id -> (node, raw terms) of each Literal evaluated
-        self._literals: dict[int, tuple] = {}
 
     def clone(self) -> EvaluationContext:
         other = EvaluationContext(self.horizon)
@@ -370,7 +365,6 @@ class EvaluationContext:
         other._exact_cache = dict(self._exact_cache)
         other._inversions = dict(self._inversions)
         other._vmin_bounds = dict(self._vmin_bounds)
-        other._literals = dict(self._literals)
         return other
 
     # -- public ---------------------------------------------------------
@@ -382,11 +376,11 @@ class EvaluationContext:
         terms, frontier = self._eval(s, bound.value)
         if frontier is not None:
             return TermList(_box_terms(s, terms), False, box_exponent(s.group, frontier))
+        # a complete result is a prefix of the memoised one
         key = id(s)
         hit = self._complete_cache.get(key)
-        if hit is None:  # a term, which is not memoised
+        if hit is None:  # a leaf
             return TermList(_box_terms(s, terms))
-        # a complete result is a prefix of the memoised one
         node, top, raw, boxed = hit
         if boxed is None:
             boxed = _box_terms(s, raw)
@@ -401,8 +395,8 @@ class EvaluationContext:
     # -- evaluation core --------------------------------------------------
 
     def _eval(self, node: Series, bound):
-        if _is_term(node):
-            return self._expand(node, bound)
+        if isinstance(node, _LEAVES):
+            return self._cap(self._expand(node, bound))
         key = id(node)
         hit = self._complete_cache.get(key)
         if hit is not None and not bound > hit[1]:
@@ -434,7 +428,7 @@ class EvaluationContext:
                 return (), None
             return ((g, c),), None
         if isinstance(node, Literal):
-            return _prefix(self._raw_literal(node), bound), None
+            return _prefix(node.raw_terms, bound), None
         if isinstance(node, Neg):
             terms, frontier = self._eval(node.child, bound)
             neg = field_ops(node.field).neg
@@ -452,13 +446,6 @@ class EvaluationContext:
             return self._expand_tail(node, bound)
         raise TypeError(f"unknown series node {type(node).__name__}")
 
-    def _raw_literal(self, node: Literal) -> tuple:
-        hit = self._literals.get(id(node))
-        if hit is None:
-            raw = tuple((g.value, c.value) for g, c in node.terms)
-            hit = self._literals[id(node)] = (node, raw)
-        return hit[1]
-
     def _expand_sum(self, node: Sum, bound):
         ops = field_ops(node.field)
         add = ops.add
@@ -473,9 +460,9 @@ class EvaluationContext:
 
     def _vmin_bound(self, node: Series):
         """A guaranteed lower bound for min supp, or None when the node is
-        provably the zero series.  Memoised per node, so a DAG with sharing
-        computes each bound once; a term's bound is read off directly."""
-        if _is_term(node):
+        provably the zero series.  Memoised per node but a leaf, so a DAG
+        with sharing computes each bound once."""
+        if isinstance(node, _LEAVES):
             return self._compute_vmin_bound(node)
         key = id(node)
         hit = self._vmin_bounds.get(key)

@@ -305,9 +305,9 @@ def test_rendered_library_monomials_reparse_to_the_same_value(fld):
             coefficients_up_to(s, h), text
 
 
-def test_long_inputs_parse_across_token_windows():
+def test_long_inputs_parse_with_backtracking():
     # each group is tried as an F_p(x) coefficient first, then reparsed as
-    # a series; the 2000 tokens span several windows of the token reader
+    # a series, across 2000 tokens
     text = " + ".join(f"(1 + {k % 2 + 1}*t^({k + 1}))" for k in range(200))
     tl = coefficients_up_to(parse_expression(text, INTEGERS, F3X), Horizon(INTEGERS.element(200)))
     assert [(g.value, str(c)) for g, c in tl.terms] == [(0, "2")] + [

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,20 @@ def test_flat_sum_takes_the_least_summand_frontier():
     full = coefficients_up_to(s, H(30))
     assert full.complete
     assert [t for t in full.terms if t[0] < tl.frontier] == list(tl.terms)
+
+
+def test_binary_sum_chain_of_320_evaluates():
+    # s = s + x in a loop nests one binary Sum per step, and the evaluator
+    # recurses once per level.  A chain of 320 evaluates within the default
+    # recursion limit from the top of a stack, so it is evaluated in a new
+    # thread, below none of the test runner's frames.
+    s = monomial(qq(1), zq(0))
+    for k in range(1, 321):
+        s = s + monomial(qq(k + 1), zq(k))
+    with ThreadPoolExecutor(1) as pool:
+        tl = pool.submit(coefficients_up_to, s, H(400)).result()
+    assert tl.complete
+    assert as_pairs(tl) == [(k, k + 1) for k in range(321)]
 
 
 def test_lex_inverse_has_omega_support_below_bound():
