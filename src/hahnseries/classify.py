@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .conditions import CONDITION_NAMES, check_condition
 from .fields import FieldDescriptor
-from .groups import group_zero, unit_sample
-from .series import Horizon
+from .groups import group_zero
 from .supports import (
     DEFAULT_BUDGET,
     Family,
@@ -113,12 +112,6 @@ def _status(conds, names):
     return "holds", None
 
 
-def _membership_horizon(family: Family) -> Horizon:
-    unit = unit_sample(family.group)
-    bound = unit.scale(4) if unit is not None else group_zero(family.group)
-    return Horizon(bound, 64)
-
-
 def classify_khull(fld: FieldDescriptor, family: Family,
                    budget: SearchBudget = DEFAULT_BUDGET) -> Classification:
     conds = {name: check_condition(family, name, budget) for name in CONDITION_NAMES}
@@ -171,17 +164,9 @@ def classify_khull(fld: FieldDescriptor, family: Family,
     )
 
     # Rayner family membership is definitional, no field hypothesis at all
-    st, which = _status(conds, RAYNER_SET)
-    if st == "holds":
-        flags["rayner_field"] = Flag(YES, rule="rayner-family-definition")
-    elif st == "fails":
-        flags["rayner_field"] = Flag(
-            NO, rule="rayner-family-definition", witness=(which, conds[which].witness)
-        )
-    else:
-        flags["rayner_field"] = Flag(
-            UNDECIDED, reason=f"condition {which} undecided within budget"
-        )
+    flags["rayner_field"] = conditional_flag(
+        RAYNER_SET, "rayner-family-definition", "rayner-family-definition", True, None
+    )
 
     for name, cond, rule in (
         ("restriction_closed", "S2", "subset-closed-family"),
@@ -197,11 +182,10 @@ def classify_khull(fld: FieldDescriptor, family: Family,
 
     # identity: the hull contains the coefficient field iff {} and {0} are
     # members; a subring of a field can only have 1 itself as identity
-    h = _membership_horizon(family)
     zero_set = SupportSet(family.group, (group_zero(family.group),))
     empty_set = SupportSet(family.group, ())
-    has_empty = family_contains(family, empty_set, h, budget)
-    has_zero = family_contains(family, zero_set, h, budget)
+    has_empty = family_contains(family, empty_set, budget)
+    has_zero = family_contains(family, zero_set, budget)
     ring = flags["subring"]
     if ring.no:
         flags["has_identity"] = Flag(NO, rule="not-a-subring")

@@ -121,25 +121,14 @@ def _region_is_whole(region: Region, budget: SearchBudget):
             if g not in region.elements:
                 return False, g
         return True, None
-    if region.kind == SUBGROUP:
-        ok, witness = generates_whole_group(list(region.elements), group)
-        return (True, None) if ok else (False, witness)
-    # submonoid
     gens = [e for e in region.elements if not e.is_zero]
-    if not gens:
-        return (True, None) if trivial else (False, unit)
-    if monoid_is_group(gens, budget):
+    is_group = region.kind == SUBGROUP or monoid_is_group(gens, budget)
+    if is_group:
         ok, witness = generates_whole_group(gens, group)
         return (True, None) if ok else (False, witness)
-    if all(not e < zero for e in gens):
-        positive = [e for e in gens if zero < e]
-        if positive:
-            return False, -positive[0]
-    if all(not zero < e for e in gens):
-        negative = [e for e in gens if e < zero]
-        if negative:
-            return False, -negative[0]
-    return None, None
+    if is_group is None:
+        return None, None
+    return False, -gens[0]  # one sign: no generator's inverse is a sum
 
 
 def _region_is_empty(region: Region) -> bool:
@@ -162,9 +151,7 @@ def _region_sample(region: Region, budget: SearchBudget) -> GroupElement | None:
 
 def _region_symmetric(region: Region, budget: SearchBudget):
     """Whether g in S implies -g in S: (True, None), (False, g), (None, None)."""
-    group = region.group
-    zero = group_zero(group)
-    unit = unit_sample(group)
+    unit = unit_sample(region.group)
     if region.kind in (WHOLE, SUBGROUP):
         return True, None
     if region.kind in (NONNEG, POS):
@@ -175,19 +162,10 @@ def _region_symmetric(region: Region, budget: SearchBudget):
                 return False, e
         return True, None
     gens = [e for e in region.elements if not e.is_zero]
-    if not gens:
-        return True, None
-    if monoid_is_group(gens, budget):
-        return True, None
-    if all(not e < zero for e in gens):
-        positive = [e for e in gens if zero < e]
-        if positive:
-            return False, positive[0]
-    if all(not zero < e for e in gens):
-        negative = [e for e in gens if e < zero]
-        if negative:
-            return False, negative[0]
-    return None, None
+    is_group = monoid_is_group(gens, budget)
+    if is_group is None:
+        return None, None
+    return (True, None) if is_group else (False, gens[0])
 
 
 def _region_add_closed(region: Region):
@@ -211,20 +189,14 @@ def _region_positive_sample(region: Region, budget: SearchBudget) -> GroupElemen
     if region.kind in (WHOLE, NONNEG, POS):
         return unit
     if region.kind == FINITE:
-        for e in reversed(region.elements):
-            if zero < e:
-                return e
-        return None
+        return next((e for e in reversed(region.elements) if zero < e), None)
     gens = [e for e in region.elements if not e.is_zero]
     if not gens:
         return None
     if region.kind == SUBGROUP or monoid_is_group(gens, budget):
         g = gens[0]
         return g if zero < g else -g
-    for e in gens:
-        if zero < e:
-            return e
-    return None  # all generators negative: no positive sums
+    return next((e for e in gens if zero < e), None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +468,7 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
     )
 
     def contains(ss: SupportSet) -> bool:
-        return family_contains(family, ss, probe_horizon, budget)
+        return family_contains(family, ss, budget)
 
     w = verdict.witness
     raw_members = family.raw_members  # () for region families

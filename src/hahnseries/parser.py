@@ -398,15 +398,13 @@ def _wrap_additive(node: Series) -> str:
 def default_bound(series: Series) -> GroupElement | None:
     """The evaluation bound of an expression given without one: the
     largest exponent written in it, counting -g0 of each witnessed
-    inverse, or None when some inverse has no witness."""
+    inverse, or None when some inverse has no witness.  The walk visits
+    each node once per parent, which suits parsed trees: they share no
+    nodes."""
     best = group_zero(series.group)
-    seen: set[int] = set()
     stack = [series]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
         if isinstance(node, Monomial) and best < node.exponent:
             best = node.exponent
         elif isinstance(node, Inverse):

@@ -73,9 +73,6 @@ class SupportSet:
     def is_empty(self) -> bool:
         return not self.points
 
-    def min(self) -> GroupElement | None:
-        return self.points[0] if self.points else None
-
     def as_set(self) -> frozenset[GroupElement]:
         return frozenset(self.points)
 
@@ -189,12 +186,23 @@ def _monoid_reachable(gens, target, max_len) -> bool:
 
 
 def monoid_is_group(gens, budget: SearchBudget = DEFAULT_BUDGET) -> bool | None:
-    """True when every generator's inverse is reachable, None if the
-    bounded search cannot tell."""
-    if all(g.is_zero for g in gens):
+    """Whether the submonoid generated by gens is a group.
+
+    True when every generator's inverse is a sum of at most
+    ``budget.monoid_sum_length`` generators, and when no generator is
+    nonzero.  False when all nonzero generators have one sign: sums of
+    positive elements stay positive (and of negative ones negative), so
+    no generator's inverse is reachable.  None when the generators have
+    both signs and the bounded search cannot tell.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
         return True
+    zero = group_zero(gens[0].descriptor)
+    if all(zero < g for g in gens) or all(g < zero for g in gens):
+        return False
     for g in gens:
-        if not _monoid_reachable(list(gens), -g, budget.monoid_sum_length):
+        if not _monoid_reachable(gens, -g, budget.monoid_sum_length):
             return None
     return True
 
@@ -215,30 +223,25 @@ def region_contains(region: Region, g: GroupElement,
         return g in region.elements
     if region.kind == SUBGROUP:
         return subgroup_contains(list(region.elements), g)
-    # submonoid: exact pre-filters, then bounded search
+    # submonoid: inside the generated subgroup, and all of it when the
+    # monoid is a group; otherwise exact sign rules and a bounded search
     gens = [e for e in region.elements if not e.is_zero]
     if not subgroup_contains(gens, g):
         return False
     if g.is_zero:
         return True
-    if all(not e < zero for e in gens):
-        if g < zero:
-            return False
-        positive = [e for e in gens if zero < e]
-        min_pos = min(positive) if positive else None
-        if min_pos is not None and g < min_pos:
-            return False
-    if gens and all(e < zero for e in gens) and max(gens) < g:
+    is_group = monoid_is_group(gens, budget)
+    if is_group:
+        return True
+    positive = is_group is False and zero < gens[0]
+    if positive and g < min(gens):
+        return False  # sums of positive generators are >= the least one
+    if is_group is False and not positive and max(gens) < g:
         return False  # sums of negative generators are <= the largest one
     if _monoid_reachable(gens, g, budget.monoid_sum_length):
         return True
-    if monoid_is_group(gens, budget):
-        return True  # membership in the subgroup was already confirmed
-    if all(not e < zero for e in gens):
-        positive = [e for e in gens if zero < e]
-        # every representation of g uses at most len summands of size >= min
-        if positive and not min(positive).scale(budget.monoid_sum_length) < g:
-            return False
+    if positive and not min(gens).scale(budget.monoid_sum_length) < g:
+        return False  # g would be a sum of at most monoid_sum_length generators
     return None
 
 
@@ -362,9 +365,6 @@ class Family:
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def member_sets(self) -> list[SupportSet]:
-        return [SupportSet(self.group, m) for m in self.members]
-
     def __str__(self):
         if self.kind == W_FAMILY:
             return f"W({self.region})"
@@ -405,7 +405,7 @@ def explicit_family(group: GroupDescriptor, members) -> Family:
     ))
 
 
-def family_contains(F: Family, A: SupportSet, h: Horizon,
+def family_contains(F: Family, A: SupportSet,
                     budget: SearchBudget = DEFAULT_BUDGET) -> bool:
     """Membership of a support set in the family.
 

@@ -94,6 +94,27 @@ def _x_power_degree(c) -> int | None:
     return len(num) - 1
 
 
+def _degree_collision(ta, tb) -> str | None:
+    """The first convolution fiber on which two x-degree sums coincide."""
+    fibers: dict = {}
+    for ga, ca in ta.terms:
+        da = _x_power_degree(ca)
+        for gb, cb in tb.terms:
+            fibers.setdefault(ga + gb, []).append(da + _x_power_degree(cb))
+    for target, sums in fibers.items():
+        if len(sums) != len(set(sums)):
+            return f"colliding x-degrees on the fiber over {target}"
+    return None
+
+
+# field kind -> (route, what every coefficient must be, its test)
+_PRODUCT_ROUTES = {
+    "Q": ("positive-coefficients", "strictly positive", is_strictly_positive),
+    "Fp(x)": ("independent-coefficients", "a power of x",
+              lambda c: _x_power_degree(c) is not None),
+}
+
+
 def verify_product_support(a, b, h: Horizon) -> Report:
     """Set equality of enumerated supp(a*b) and supp(a) (+) supp(b).
 
@@ -110,11 +131,11 @@ def verify_product_support(a, b, h: Horizon) -> Report:
         raise TermBudgetExceeded("operand enumeration incomplete")
     params = {"field": fld, "exp_bound": h.exp_bound}
     lhs = support_up_to(a * b, h)
-    sum_set = sorted(
-        {ga + gb for ga, _ in ta.terms for gb, _ in tb.terms if not ga + gb > h.exp_bound}
-    )
-    missing = [g for g in sum_set if g not in set(lhs)]
-    extra = [g for g in lhs if g not in set(sum_set)]
+    sums = {ga + gb for ga, _ in ta.terms for gb, _ in tb.terms if not ga + gb > h.exp_bound}
+    sum_set = sorted(sums)
+    lhs_set = set(lhs)
+    missing = [g for g in sum_set if g not in lhs_set]
+    extra = [g for g in lhs if g not in sums]
     details = {
         "product_support": "{" + ",".join(map(str, lhs)) + "}",
         "support_sum_set": "{" + ",".join(map(str, sum_set)) + "}",
@@ -122,44 +143,17 @@ def verify_product_support(a, b, h: Horizon) -> Report:
     if missing:
         details["missing"] = "{" + ",".join(map(str, missing)) + "}"
 
-    hypothesis_fail = None
-    if fld.kind == "Q":
-        route = "positive-coefficients"
-        for tl in (ta, tb):
-            for g, c in tl.terms:
-                if not is_strictly_positive(c):
-                    hypothesis_fail = f"coefficient {c} at {g} is not strictly positive"
-                    break
-            if hypothesis_fail:
-                break
-    elif fld.kind == "Fp(x)":
-        route = "independent-coefficients"
-        degs_a, degs_b = {}, {}
-        for tl, degs in ((ta, degs_a), (tb, degs_b)):
-            for g, c in tl.terms:
-                d = _x_power_degree(c)
-                if d is None:
-                    hypothesis_fail = f"coefficient {c} at {g} is not a power of x"
-                    break
-                degs[g] = d
-            if hypothesis_fail:
-                break
-        if not hypothesis_fail:
-            fibers: dict = {}
-            for ga, da in degs_a.items():
-                for gb, db in degs_b.items():
-                    fibers.setdefault(ga + gb, []).append(da + db)
-            for target, sums in fibers.items():
-                if len(sums) != len(set(sums)):
-                    hypothesis_fail = (
-                        f"colliding x-degrees on the fiber over {target}"
-                    )
-                    break
-    else:
-        route = "none"
-        hypothesis_fail = f"{fld} offers neither order nor an independence supply"
-
+    route, demand, admissible = _PRODUCT_ROUTES.get(fld.kind, ("none", "", None))
     params["route"] = route
+    if route == "none":
+        hypothesis_fail = f"{fld} offers neither order nor an independence supply"
+    elif bad := next(((g, c) for g, c in ta.terms + tb.terms if not admissible(c)), None):
+        hypothesis_fail = f"coefficient {bad[1]} at {bad[0]} is not {demand}"
+    elif route == "independent-coefficients":
+        hypothesis_fail = _degree_collision(ta, tb)
+    else:
+        hypothesis_fail = None
+
     citation = "product-support-equality"
     if hypothesis_fail:
         return Report(
@@ -364,6 +358,40 @@ def _probe_horizon(F: Family) -> Horizon:
     return Horizon(top + top + (unit_sample(F.group) or group_zero(F.group)))
 
 
+def _additive_probes(fld: FieldDescriptor, members):
+    """(A, B, a + c) for every ordered pair of members: a has support A
+    and c support B, with the signs of c chosen so that a + c has support
+    (A xor B) plus each subset of the overlap in turn."""
+    for A in members:
+        a = ones_series(A, fld)
+        for B in members:
+            base = set(A.points) ^ set(B.points)
+            overlap = sorted(set(A.points) & set(B.points))
+            for mask in range(1 << len(overlap)):
+                target = base | {p for i, p in enumerate(overlap) if mask >> i & 1}
+                c = from_terms(
+                    B.group,
+                    fld,
+                    [(g, fld.one if g in target else -fld.one) for g in B.points],
+                )
+                yield A, B, a + c
+
+
+def _multiplicative_probes(fld: FieldDescriptor, members):
+    """(A, B, a * b) for every ordered pair of members, with a and b the
+    all-ones series on them."""
+    for A in members:
+        for B in members:
+            yield A, B, ones_series(A, fld) * ones_series(B, fld)
+
+
+# op -> (conditions that predict closure, citation, probe generator)
+_CLOSURE_PROBES = {
+    "add": (("S2", "S3", "S5"), "additive-closure-matches-S2-S3-S5", _additive_probes),
+    "mul": (("A2",), "multiplicative-closure-matches-A2", _multiplicative_probes),
+}
+
+
 def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,
                               budget: SearchBudget = DEFAULT_BUDGET) -> Report:
     """Construct series with supports in the family, apply the operation,
@@ -371,76 +399,28 @@ def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,
     is cross-checked against the condition-based prediction."""
     if F.kind != EXPLICIT_FAMILY:
         raise ValueError("closure probing needs an explicit family")
-    if op not in ("add", "mul"):
+    if op not in _CLOSURE_PROBES:
         raise ValueError("op must be 'add' or 'mul'")
     if fld.kind == "Fp" and fld.p == 2:
         raise FieldTooSmall("closure probing constructions need a field beyond F_2")
     params = {"field": fld, "family": F, "op": op}
+    names, citation, probe_series = _CLOSURE_PROBES[op]
+    prediction = all(check_condition(F, n, budget).holds for n in names)
     h = _probe_horizon(F)
     members = [SupportSet(F.group, m) for m in F.members]
+    # the empty hull is not a group, so no members means not add-closed
+    closed = bool(members) or op == "mul"
     probes = 0
     violation = None
-    if op == "add":
-        prediction = all(
-            check_condition(F, n, budget).holds for n in ("S2", "S3", "S5")
-        )
-        citation = "additive-closure-matches-S2-S3-S5"
-        if not members:
-            closed = False  # the empty hull is not a group
-        else:
-            closed = True
-            for A in members:
-                for B in members:
-                    base = set(A.points) ^ set(B.points)
-                    overlap = sorted(set(A.points) & set(B.points))
-                    for mask in range(1 << len(overlap)):
-                        target = set(base)
-                        target.update(
-                            p for i, p in enumerate(overlap) if mask >> i & 1
-                        )
-                        a = ones_series(A, fld)
-                        c = from_terms(
-                            F.group,
-                            fld,
-                            [
-                                (g, fld.one if g in target else -fld.one)
-                                for g in B.points
-                            ],
-                        )
-                        got = support_of_terms(
-                            F.group, coefficients_up_to(a + c, h), h.exp_bound
-                        )
-                        probes += 1
-                        if probes > budget.enumeration_cap:
-                            raise TermBudgetExceeded("probe budget exhausted")
-                        if not family_contains(F, got, h, budget):
-                            closed = False
-                            violation = (A, B, got)
-                            break
-                    if violation:
-                        break
-                if violation:
-                    break
-    else:
-        prediction = check_condition(F, "A2", budget).holds
-        citation = "multiplicative-closure-matches-A2"
-        closed = True
-        for A in members:
-            for B in members:
-                a = ones_series(A, fld)
-                b = ones_series(B, fld)
-                got = support_of_terms(
-                    F.group, coefficients_up_to(a * b, h), h.exp_bound
-                )
-                probes += 1
-                if probes > budget.enumeration_cap:
-                    raise TermBudgetExceeded("probe budget exhausted")
-                if not family_contains(F, got, h, budget):
-                    closed = False
-                    violation = (A, B, got)
-                    break
-            if violation:
-                break
+    for A, B, s in probe_series(fld, members):
+        got = support_of_terms(F.group, coefficients_up_to(s, h), h.exp_bound)
+        probes += 1
+        if probes > budget.enumeration_cap:
+            raise TermBudgetExceeded("probe budget exhausted")
+        if not family_contains(F, got, budget):
+            closed = False
+            violation = (A, B, got)
+            break
     details = {
         "closed_under_probes": closed,
         "predicted_closed": prediction,
@@ -659,17 +639,14 @@ def run_suite(seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET,
     )
 
     h20 = Horizon(z(20))
-    fixed = from_terms(
-        INTEGERS, QQ, [(z(2), QQ.one), (z(3), QQ.one)]
-    )
-    reports.append(verify_neumann_support(fixed, Horizon(z(7))))
+    t2_t3 = from_terms(INTEGERS, QQ, [(z(2), QQ.one), (z(3), QQ.one)])
+    reports.append(verify_neumann_support(t2_t3, Horizon(z(7))))
     reports.append(verify_neumann_support(from_terms(INTEGERS, QQ, [(z(1), QQ.one)]), h20))
     reports.append(neumann_support_batch(25, seed + 1, "Z", 20))
     reports.append(neumann_support_batch(25, seed + 2, "Q", Fraction(20)))
 
-    a = from_terms(INTEGERS, QQ, [(z(2), QQ.one), (z(3), QQ.one)])
-    b = from_terms(INTEGERS, QQ, [(z(0), QQ.one), (z(1), QQ.one)])
-    reports.append(verify_product_support(a, b, Horizon(z(10))))
+    one_t = from_terms(INTEGERS, QQ, [(z(0), QQ.one), (z(1), QQ.one)])
+    reports.append(verify_product_support(t2_t3, one_t, Horizon(z(10))))
     from .fields import rational_functions
 
     f2x = rational_functions(2)
@@ -678,9 +655,8 @@ def run_suite(seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET,
     pa = from_terms(INTEGERS, f2x, [(z(0), f2x.one), (z(1), x)])
     pb = from_terms(INTEGERS, f2x, [(z(0), f2x.one), (z(1), x2)])
     reports.append(verify_product_support(pa, pb, Horizon(z(10))))
-    cancel_a = from_terms(INTEGERS, QQ, [(z(0), QQ.one), (z(1), QQ.one)])
-    cancel_b = from_terms(INTEGERS, QQ, [(z(0), QQ.one), (z(1), -QQ.one)])
-    reports.append(verify_product_support(cancel_a, cancel_b, Horizon(z(10))))
+    one_minus_t = from_terms(INTEGERS, QQ, [(z(0), QQ.one), (z(1), -QQ.one)])
+    reports.append(verify_product_support(one_t, one_minus_t, Horizon(z(10))))
 
     for fam in (
         well_ordered_family(whole_group(INTEGERS)),
