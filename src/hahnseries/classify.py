@@ -168,17 +168,12 @@ def classify_khull(fld: FieldDescriptor, family: Family,
         RAYNER_SET, "rayner-family-definition", "rayner-family-definition", True, None
     )
 
-    for name, cond, rule in (
-        ("restriction_closed", "S2", "subset-closed-family"),
-        ("truncation_closed", "S6", "initial-segment-closed-family"),
-    ):
-        v = conds[cond]
-        if v.holds:
-            flags[name] = Flag(YES, rule=rule)
-        elif v.fails:
-            flags[name] = Flag(NO, rule=rule, witness=(cond, v.witness))
-        else:
-            flags[name] = Flag(UNDECIDED, reason=f"condition {cond} undecided")
+    flags["restriction_closed"] = conditional_flag(
+        ("S2",), "subset-closed-family", "subset-closed-family", True, None
+    )
+    flags["truncation_closed"] = conditional_flag(
+        ("S6",), "initial-segment-closed-family", "initial-segment-closed-family", True, None
+    )
 
     # identity: the hull contains the coefficient field iff {} and {0} are
     # members; a subring of a field can only have 1 itself as identity

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: eval, invert, support, vmin, trunc, check-family, classify,
-suite.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 term budget exceeded, membership undecided within budget, or an
-expression nesting too deeply to parse or evaluate.  Errors go to
-stderr; with a fixed seed every run is byte-identical.
+suite.  ``COMMANDS`` lists each one with its handler and the arguments it
+reads; a flag a subcommand does not read is a usage error.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 term budget
+exceeded, membership undecided within budget, or an expression nesting
+too deeply to parse or evaluate.  Errors go to stderr.  Repeated runs
+print the same bytes; for ``suite``, runs with the same ``--seed`` do.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .classify import FLAG_NAMES, classify_khull
 from .conditions import CONDITION_NAMES, check_condition
@@ -47,7 +48,6 @@ from .series import (
 from .supports import (
     Family,
     Region,
-    SearchBudget,
     explicit_family,
     finite_region,
     finite_subsets_family,
@@ -64,16 +64,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    group: GroupDescriptor
-    field: FieldDescriptor
-    exp_bound: GroupElement | None
-    term_bound: int = DEFAULT_TERM_BOUND
-    json_output: bool = False
-    seed: int = 0
 
 
 def parse_group_name(text: str) -> GroupDescriptor:
@@ -184,113 +174,38 @@ def parse_family_text(text: str, group: GroupDescriptor) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# subcommands
 
-def _common_flags(sub):
-    sub.add_argument("--group", default="Z", help="Z, Q, Z^n or trivial")
-    sub.add_argument("--field", default="Q", help="Q, Fp or Fp(x)")
-    sub.add_argument("--exp-bound", help="exponent bound for evaluation")
-    sub.add_argument(
-        "--term-bound", type=int, default=DEFAULT_TERM_BOUND,
-        help="max support points enumerated per node",
-    )
-    sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it
-    unchanged, so every main() call shares it."""
-    ap = argparse.ArgumentParser(
-        prog="hahnseries",
-        description="exact generalised power series arithmetic, family "
-        "condition checking and k-hull classification",
-    )
-    subs = ap.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-        ("eval", "evaluate an expression up to the exponent bound"),
-        ("invert", "evaluate the multiplicative inverse of an expression"),
-        ("support", "list the enumerated support of an expression"),
-        ("vmin", "least support exponent of an expression"),
-    ):
-        sub = subs.add_parser(name, help=helptext)
-        sub.add_argument("expression")
-        if name == "invert":
-            sub.add_argument("--g0", help="witness leading exponent")
-        _common_flags(sub)
-
-    sub = subs.add_parser("trunc", help="truncate an expression below an exponent")
-    sub.add_argument("expression")
-    sub.add_argument("at", help="cutoff exponent")
-    sub.add_argument(
-        "--inclusive", action="store_true", help="keep the cutoff exponent too"
-    )
-    _common_flags(sub)
-
-    sub = subs.add_parser("check-family", help="check family conditions S1..A5")
-    sub.add_argument("family")
-    sub.add_argument(
-        "--condition", default="all",
-        help="one of S1..S6, A1..A5, or 'all'",
-    )
-    _common_flags(sub)
-
-    sub = subs.add_parser("classify", help="classify the k-hull of a family")
-    sub.add_argument("--family", required=True)
-    _common_flags(sub)
-
-    sub = subs.add_parser("suite", help="run the verification suite")
-    sub.add_argument("--filter", dest="name_filter", default=None)
-    _common_flags(sub)
-    return ap
-
-
-def _session(args) -> SessionConfig:
-    group = parse_group_name(args.group)
-    fld = parse_field_name(args.field)
-    bound = None
-    if args.exp_bound is not None:
-        bound = parse_exponent_text(args.exp_bound, group)
-    if args.term_bound < 1:
-        raise ParseError("--term-bound must be positive")
-    return SessionConfig(group, fld, bound, args.term_bound, args.json, args.seed)
-
-
-def _emit_terms(cfg: SessionConfig, tl, out):
-    if cfg.json_output:
-        print(json.dumps(terms_to_json_dict(tl)), file=out)
-    else:
-        print(render_terms(tl), file=out)
-
-
-def _evaluate(args, cfg: SessionConfig):
+def _evaluate(args):
     """The TermList of an evaluation command and the bound it used.  Only
     these outlive the call, so the expression tree and the memo are freed
     before the output is built."""
-    parsed = series = parse_expression(args.expression, cfg.group, cfg.field)
+    group = parse_group_name(args.group)
+    fld = parse_field_name(args.field)
+    exp_bound = None
+    if args.exp_bound is not None:
+        exp_bound = parse_exponent_text(args.exp_bound, group)
+    if args.term_bound < 1:
+        raise ParseError("--term-bound must be positive")
+    parsed = series = parse_expression(args.expression, group, fld)
     if args.command == "invert":
-        witness = (
-            parse_exponent_text(args.g0, cfg.group) if args.g0 is not None else None
-        )
+        witness = parse_exponent_text(args.g0, group) if args.g0 is not None else None
         series = Inverse(series, witness)
-        if witness is None and cfg.exp_bound is None:
+        if witness is None and exp_bound is None:
             raise ParseError("--exp-bound is required for invert without --g0")
     if args.command == "trunc":
-        cutoff = parse_exponent_text(args.at, cfg.group)
+        cutoff = parse_exponent_text(args.at, group)
         series = Truncation(series, cutoff, args.inclusive)
-    bound = cfg.exp_bound if cfg.exp_bound is not None else default_bound(parsed)
+    bound = exp_bound if exp_bound is not None else default_bound(parsed)
     if bound is None:
         raise ParseError("--exp-bound is required for inv(...) without a g0 witness")
-    return EvaluationContext(Horizon(bound, cfg.term_bound)).coefficients(series), bound
+    return EvaluationContext(Horizon(bound, args.term_bound)).coefficients(series), bound
 
 
 def _run_eval(args, out) -> int:
-    cfg = _session(args)
-    tl, bound = _evaluate(args, cfg)
+    tl, bound = _evaluate(args)
     if args.command == "support":
-        if cfg.json_output:
+        if args.json:
             payload = {
                 "support": [str(g) for g in tl.support()],
                 "complete": tl.complete,
@@ -305,22 +220,22 @@ def _run_eval(args, out) -> int:
                 raise ZeroUpToHorizon(f"no nonzero coefficient at or below {bound}")
             raise TermBudgetExceeded("support enumeration hit the term budget")
         v = tl.terms[0][0]
-        print(json.dumps({"vmin": str(v)}) if cfg.json_output else str(v), file=out)
+        print(json.dumps({"vmin": str(v)}) if args.json else str(v), file=out)
         return EXIT_OK
-    _emit_terms(cfg, tl, out)
+    print(json.dumps(terms_to_json_dict(tl)) if args.json else render_terms(tl), file=out)
     return EXIT_OK
 
 
 def _run_check_family(args, out) -> int:
-    cfg = _session(args)
-    family = parse_family_text(args.family, cfg.group)
-    budget = SearchBudget(seed=cfg.seed)
+    group = parse_group_name(args.group)
+    parse_field_name(args.field)  # rejected when malformed, though no condition reads it
+    family = parse_family_text(args.family, group)
     names = CONDITION_NAMES if args.condition == "all" else (args.condition,)
     for name in names:
         if name not in CONDITION_NAMES:
             raise ParseError(f"unknown condition {args.condition!r}")
-    verdicts = {name: check_condition(family, name, budget) for name in names}
-    if cfg.json_output:
+    verdicts = {name: check_condition(family, name) for name in names}
+    if args.json:
         payload = {
             "family": str(family),
             "conditions": {
@@ -341,25 +256,23 @@ def _run_check_family(args, out) -> int:
 
 
 def _run_classify(args, out) -> int:
-    cfg = _session(args)
-    family = parse_family_text(args.family, cfg.group)
-    budget = SearchBudget(seed=cfg.seed)
-    c = classify_khull(cfg.field, family, budget)
-    if cfg.json_output:
+    group = parse_group_name(args.group)
+    fld = parse_field_name(args.field)
+    family = parse_family_text(args.family, group)
+    c = classify_khull(fld, family)
+    if args.json:
         print(json.dumps(c.to_json_dict()), file=out)
     else:
-        print(f"classification of {cfg.field}(({family}))", file=out)
+        print(f"classification of {fld}(({family}))", file=out)
         for name in FLAG_NAMES:
             print(f"  {name}: {c.flags[name].render()}", file=out)
     return EXIT_OK
 
 
 def _run_suite(args, out) -> int:
-    cfg = _session(args)
-    budget = SearchBudget(seed=cfg.seed)
-    reports = run_suite(seed=cfg.seed, budget=budget, name_filter=args.name_filter)
+    reports = run_suite(seed=args.seed, name_filter=args.name_filter)
     failed = [r for r in reports if r.status == "fail"]
-    if cfg.json_output:
+    if args.json:
         print(json.dumps([r.to_json_dict() for r in reports]), file=out)
     else:
         for r in reports:
@@ -375,6 +288,65 @@ def _run_suite(args, out) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
+# every argument a subcommand may take; argparse reads the key as its name
+ARGUMENTS = {
+    "expression": {},
+    "at": {"help": "cutoff exponent"},
+    "family": {},
+    "--family": {"required": True},
+    "--g0": {"help": "witness leading exponent"},
+    "--inclusive": {"action": "store_true", "help": "keep the cutoff exponent too"},
+    "--condition": {"default": "all", "help": "one of S1..S6, A1..A5, or 'all'"},
+    "--filter": {"dest": "name_filter"},
+    "--group": {"default": "Z", "help": "Z, Q, Z^n or trivial"},
+    "--field": {"default": "Q", "help": "Q, Fp or Fp(x)"},
+    "--exp-bound": {"help": "exponent bound for evaluation"},
+    "--term-bound": {"type": int, "default": DEFAULT_TERM_BOUND,
+                     "help": "max support points enumerated per node"},
+    "--json": {"action": "store_true", "help": "JSON output"},
+    "--seed": {"type": int, "default": 0, "help": "seed for the randomized batches"},
+}
+
+_EVAL_FLAGS = "--group --field --exp-bound --term-bound --json"
+
+# name, help, handler, and the arguments it reads in the order --help lists them
+COMMANDS = (
+    ("eval", "evaluate an expression up to the exponent bound", _run_eval,
+     f"expression {_EVAL_FLAGS}"),
+    ("invert", "evaluate the multiplicative inverse of an expression", _run_eval,
+     f"expression --g0 {_EVAL_FLAGS}"),
+    ("support", "list the enumerated support of an expression", _run_eval,
+     f"expression {_EVAL_FLAGS}"),
+    ("vmin", "least support exponent of an expression", _run_eval,
+     f"expression {_EVAL_FLAGS}"),
+    ("trunc", "truncate an expression below an exponent", _run_eval,
+     f"expression at --inclusive {_EVAL_FLAGS}"),
+    ("check-family", "check family conditions S1..A5", _run_check_family,
+     "family --condition --group --field --json"),
+    ("classify", "classify the k-hull of a family", _run_classify,
+     "--family --group --field --json"),
+    ("suite", "run the verification suite", _run_suite, "--filter --json --seed"),
+)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main() call shares it."""
+    ap = argparse.ArgumentParser(
+        prog="hahnseries",
+        description="exact generalised power series arithmetic, family "
+        "condition checking and k-hull classification",
+    )
+    subs = ap.add_subparsers(dest="command", required=True)
+    for name, helptext, handler, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=helptext)
+        for arg in arguments.split():
+            sub.add_argument(arg, **ARGUMENTS[arg])
+        sub.set_defaults(handler=handler)
+    return ap
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -384,13 +356,7 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command in ("eval", "invert", "support", "vmin", "trunc"):
-            return _run_eval(args, out)
-        if args.command == "check-family":
-            return _run_check_family(args, out)
-        if args.command == "classify":
-            return _run_classify(args, out)
-        return _run_suite(args, out)
+        return args.handler(args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

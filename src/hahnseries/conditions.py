@@ -139,7 +139,7 @@ def _region_is_empty(region: Region) -> bool:
     return False
 
 
-def _region_sample(region: Region, budget: SearchBudget) -> GroupElement | None:
+def _region_sample(region: Region) -> GroupElement | None:
     """Some element of the region, or None when it is empty."""
     zero = group_zero(region.group)
     if region.kind in (WHOLE, NONNEG, SUBGROUP, SUBMONOID):
@@ -267,7 +267,7 @@ def _check_region_family(family: Family, condition: str,
             return _holds("whole-group-is-translation-stable")
         if whole is None:
             return _unknown("region extent undecided within budget")
-        sample = _region_sample(region, budget)
+        sample = _region_sample(region)
         return _fails(
             _singleton(group, outside),
             f"translate {{{sample}}} by {outside - sample}",
@@ -524,7 +524,7 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
                     if tuple(add(p, shift) for p in m) == wraw:
                         return True
             return False
-        sample = _region_sample(family.region, budget)
+        sample = _region_sample(family.region)
         return sample is not None and len(w.points) == 1
     if condition == "A4":
         if not contains(w):

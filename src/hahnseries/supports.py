@@ -233,14 +233,13 @@ def region_contains(region: Region, g: GroupElement,
     is_group = monoid_is_group(gens, budget)
     if is_group:
         return True
-    positive = is_group is False and zero < gens[0]
-    if positive and g < min(gens):
+    if is_group is False and gens[0] < zero:
+        gens, g = [-e for e in gens], -g  # g is in mon(gens) iff -g is in mon(-gens)
+    if is_group is False and g < min(gens):
         return False  # sums of positive generators are >= the least one
-    if is_group is False and not positive and max(gens) < g:
-        return False  # sums of negative generators are <= the largest one
     if _monoid_reachable(gens, g, budget.monoid_sum_length):
         return True
-    if positive and not min(gens).scale(budget.monoid_sum_length) < g:
+    if is_group is False and not min(gens).scale(budget.monoid_sum_length) < g:
         return False  # g would be a sum of at most monoid_sum_length generators
     return None
 
@@ -310,7 +309,7 @@ def finite_sums_closure(A: SupportSet, h: Horizon) -> SupportSet:
     return SupportSet(A.group, tuple(emitted), bound, A.budget_hit)
 
 
-def is_initial_segment(B: SupportSet, A: SupportSet, h: Horizon) -> bool:
+def is_initial_segment(B: SupportSet, A: SupportSet) -> bool:
     """B is a subset of A and no element of A outside B precedes one of B."""
     aset = A.as_set()
     bset = B.as_set()

@@ -87,6 +87,23 @@ def test_support_and_vmin():
     assert out.strip() == "2"
 
 
+
+def test_support_json():
+    code, out, _ = run_cli("support", "t^(2) + t^(3)", "--exp-bound", "10", "--json")
+    assert (code, json.loads(out)) == (0, {"support": ["2", "3"], "complete": True})
+    # the one written sum spends the term budget on its two least points
+    code, out, _ = run_cli("support", "t^(1) + t^(2) + t^(3)", "--term-bound", "2", "--json")
+    assert (code, json.loads(out)) == (0, {"support": ["1", "2"], "complete": False})
+
+
+def test_vmin_exits_on_the_term_budget_before_any_support_point():
+    # the series is -t^(6), but the product spends its one term on t^(1),
+    # which the sum cancels
+    code, out, err = run_cli(
+        "vmin", "t^(1) - t^(1)*(1 + t^(5))", "--exp-bound", "10", "--term-bound", "1"
+    )
+    assert (code, out, err) == (3, "", "budget exceeded: support enumeration hit the term budget\n")
+
 def test_vmin_zero_series_exit_code():
     code, _, err = run_cli("vmin", "t^(1) - t^(1)", "--exp-bound", "10")
     assert code == 1
@@ -188,6 +205,31 @@ def test_usage_error_exit():
     assert code == 2
     code, _, _ = run_cli()
     assert code == 2
+
+
+
+# each subcommand with the flags it accepted at one time but never read
+DROPPED_FLAGS = {
+    ("eval", "1"): ("--seed",),
+    ("invert", "1"): ("--seed",),
+    ("support", "1"): ("--seed",),
+    ("vmin", "1"): ("--seed",),
+    ("trunc", "1", "0"): ("--seed",),
+    ("check-family", "W(Z)"): ("--exp-bound", "--term-bound", "--seed"),
+    ("classify", "--family", "W(Z)"): ("--exp-bound", "--term-bound", "--seed"),
+    ("suite", "--filter", "fp-gap"): ("--group", "--field", "--exp-bound", "--term-bound"),
+}
+FLAG_VALUES = {"--seed": "1", "--exp-bound": "3", "--term-bound": "3", "--group": "Z", "--field": "Q"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+    for argv, flags in DROPPED_FLAGS.items() for flag in flags
+])
+def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, flag, capsys):
+    code, out, err = run_cli(*argv, flag, FLAG_VALUES[flag])
+    assert (code, out, err) == (2, "", "")
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
 def test_repeated_main_calls_match_single_calls():

@@ -78,6 +78,46 @@ def test_minkowski_brute_force_agreement():
         assert vals(got) == expected
 
 
+
+def _prefix(rng, points):
+    """The full set itself, or an enumerated prefix of it that lists at
+    least its least point: inclusive of the cut, or exclusive when the
+    enumeration hit its budget."""
+    kind = rng.choice(("entire", "bounded", "budget_hit"))
+    if kind == "entire":
+        return explicit_support(INTEGERS, map(zq, points))
+    hit = kind == "budget_hit"
+    cut = rng.randint(points[0] + 1 if hit else points[0], 30)
+    listed = [zq(p) for p in points if (p < cut if hit else p <= cut)]
+    return enumerated_support(INTEGERS, listed, zq(cut), hit)
+
+
+def test_minkowski_sum_of_prefixes_matches_the_full_sets():
+    rng = random.Random(31)
+    for _ in range(300):
+        a, b = (sorted(rng.sample(range(-10, 30), rng.randint(1, 8))) for _ in range(2))
+        A, B = _prefix(rng, a), _prefix(rng, b)
+        got = minkowski_sum(A, B, H(25, rng.choice((3, 10000))))
+        sums = sorted({x + y for x in a for y in b})
+        if got.is_entire:
+            assert A.is_entire and B.is_entire
+            assert vals(got) == [s for s in sums if s <= 25]
+            continue
+        # every sum up to the bound is listed, exclusive of it on a budget
+        # hit; a listed point past the bound must still be a sum
+        assert got.bound.value <= 25
+        assert set(vals(got)) <= set(sums)
+        cut = got.bound.value
+        known = [s for s in vals(got) if (s < cut if got.budget_hit else s <= cut)]
+        assert known == [s for s in sums if (s < cut if got.budget_hit else s <= cut)]
+    # a prefix bounded at 2 against {0, 10}: sums are known up to 2 + 0
+    N = enumerated_support(INTEGERS, [zq(0), zq(1), zq(2)], zq(2))
+    got = minkowski_sum(N, zset(0, 10), H(25))
+    assert (vals(got), got.bound, got.budget_hit) == ([0, 1, 2], zq(2), False)
+    hit = enumerated_support(INTEGERS, [zq(0), zq(1)], zq(2), True)
+    got = minkowski_sum(zset(0, 10), hit, H(25))
+    assert (vals(got), got.bound, got.budget_hit) == ([0, 1], zq(2), True)
+
 def test_translate():
     assert vals(translate(zset(2, 3), zq(-2))) == [0, 1]
     assert vals(translate(zset(), zq(5))) == []
@@ -119,11 +159,11 @@ def test_finite_sums_closure_term_budget():
 
 
 def test_initial_segment():
-    assert is_initial_segment(zset(2), zset(2, 3), H(10)) is True
-    assert is_initial_segment(zset(3), zset(2, 3), H(10)) is False
-    assert is_initial_segment(zset(), zset(2, 3), H(10)) is True
-    assert is_initial_segment(zset(2, 3), zset(2, 3), H(10)) is True
-    assert is_initial_segment(zset(2, 4), zset(2, 3, 4), H(10)) is False
+    assert is_initial_segment(zset(2), zset(2, 3)) is True
+    assert is_initial_segment(zset(3), zset(2, 3)) is False
+    assert is_initial_segment(zset(), zset(2, 3)) is True
+    assert is_initial_segment(zset(2, 3), zset(2, 3)) is True
+    assert is_initial_segment(zset(2, 4), zset(2, 3, 4)) is False
 
 
 def test_region_membership():
@@ -147,6 +187,16 @@ def test_submonoid_membership():
     assert monoid_is_group([zq(3), zq(-2)]) is True
     assert region_contains(grp_like, zq(-1)) is True
 
+
+
+def test_negative_monoid_membership_mirrors_the_positive_one():
+    pos = submonoid(INTEGERS, [zq(2), zq(5)])
+    neg = submonoid(INTEGERS, [zq(-2), zq(-5)])
+    for g in range(-30, 31):
+        assert region_contains(pos, zq(g)) is not None
+        assert region_contains(neg, zq(-g)) is region_contains(pos, zq(g)), g
+    assert region_contains(neg, zq(-3)) is False
+    assert family_contains(well_ordered_family(neg), zset(-3)) is False
 
 @pytest.mark.parametrize("gens", [(2, 3), (-3,), (-2, -5), (0, 4)])
 def test_one_signed_monoid_is_not_a_group(gens):
@@ -192,6 +242,14 @@ def test_support_of_terms_roundtrip():
     assert vals(ss) == [2, 3]
     assert not ss.budget_hit
 
+
+
+def test_support_of_a_truncated_prefix_ends_at_its_frontier():
+    tl = coefficients_up_to(ones_series(zset(*range(20)), QQ), H(30, 5))
+    assert not tl.complete
+    ss = support_of_terms(INTEGERS, tl, zq(30))
+    assert vals(ss) == [0, 1, 2, 3, 4]
+    assert (ss.bound, ss.budget_hit) == (tl.frontier, True)
 
 def test_subset_sum_witness():
     A = zset(0, 1)
