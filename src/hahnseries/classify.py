@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from .conditions import CONDITION_NAMES, check_condition
 from .fields import FieldDescriptor
-from .groups import group_zero
-from .supports import (
-    DEFAULT_BUDGET,
-    Family,
-    SearchBudget,
-    SupportSet,
-    family_contains,
-)
+from .supports import DEFAULT_BUDGET, Family, SearchBudget
 
 YES = "yes"
 NO = "no"
@@ -176,23 +169,19 @@ def classify_khull(fld: FieldDescriptor, family: Family,
     )
 
     # identity: the hull contains the coefficient field iff {} and {0} are
-    # members; a subring of a field can only have 1 itself as identity
-    zero_set = SupportSet(family.group, (group_zero(family.group),))
-    empty_set = SupportSet(family.group, ())
-    has_empty = family_contains(family, empty_set, budget)
-    has_zero = family_contains(family, zero_set, budget)
+    # members; a subring of a field can only have 1 itself as identity.
+    # A subring has {} through S2 and S5, and {0} is a member iff S4 holds.
     ring = flags["subring"]
     if ring.no:
         flags["has_identity"] = Flag(NO, rule="not-a-subring")
     elif ring.value == UNDECIDED:
         flags["has_identity"] = Flag(UNDECIDED, reason=ring.reason)
-    elif has_empty and has_zero:
+    elif conds["S4"].holds:
         flags["has_identity"] = Flag(YES, rule="coefficient-field-membership")
     else:
-        missing = "{}" if not has_empty else "{0}"
         flags["has_identity"] = Flag(
             NO, rule="coefficient-field-membership",
-            witness=("membership", missing),
+            witness=("membership", "{0}"),
         )
 
     _propagate(flags)

@@ -212,7 +212,9 @@ def _run_eval(args, out) -> int:
             }
             print(json.dumps(payload), file=out)
         else:
-            print("{" + ",".join(str(g) for g in tl.support()) + "}", file=out)
+            # an incomplete enumeration ends in ",...", as a truncated SupportSet prints
+            text = "{" + ",".join(str(g) for g in tl.support()) + "}"
+            print(text if tl.complete else text + ",...", file=out)
         return EXIT_OK
     if args.command == "vmin":
         if not tl.terms:

@@ -1,11 +1,15 @@
 """Decision and refutation procedures for the family conditions S1-A5.
 
-W- and FIN-families over a region are decided by rule tables on the
-region (exact for whole group, cones, finite sets, subgroups, and for
-submonoids whenever sign analysis or a bounded group-detection settles
-it).  Explicit finite families are decided by brute force over their
-members.  A verdict either holds with a named rule, fails with a
-concrete re-checkable witness, or stays unknown within the budget.
+On a W- or FIN-family over a region S each condition reduces to one
+property of S: S4 asks whether 0 is in S, S1 and A3 whether S = G, A5
+whether S = -S and A4 whether S has a positive element.  One table over
+the region kinds (``_region_facts``) gives the last three, exactly for
+the whole group, cones, finite sets and subgroups, and for submonoids
+whenever sign analysis or a bounded group-detection settles it.
+Explicit finite families are decided by brute force over their members,
+and always decided.  A verdict either holds with a named rule, fails
+with a concrete re-checkable witness, or, for a region family, stays
+unknown within the budget.
 """
 
 from __future__ import annotations
@@ -93,50 +97,56 @@ def _singleton(group, g) -> SupportSet:
     return SupportSet(group, (g,))
 
 
-def _empty(group) -> SupportSet:
-    return SupportSet(group, ())
-
-
 # ---------------------------------------------------------------------------
-# region analysis helpers; tri-state with witnesses
+# region analysis; tri-state with witnesses
 
-def _region_is_whole(region: Region, budget: SearchBudget):
-    """(True, None), (False, element outside), or (None, None)."""
+_YES = (True, None)
+
+
+def _refuted_by(witness):
+    return _YES if witness is None else (False, witness)
+
+
+def _region_facts(region: Region, budget: SearchBudget):
+    """The region properties S1-A5 reduce to: ``(whole, symmetric, positive)``.
+
+    ``whole`` says whether S = G and ``symmetric`` whether S = -S, each as
+    (True, None), (False, witness) or (None, None) when the bounded search
+    cannot tell.  A ``whole`` witness lies outside S; a ``symmetric``
+    witness g lies in S while -g does not.  ``positive`` is a strictly
+    positive element of S, or None.
+    """
     group = region.group
     zero = group_zero(group)
     unit = unit_sample(group)
-    trivial = unit is None
-    if region.kind == WHOLE:
-        return True, None
-    if region.kind == NONNEG:
-        return (True, None) if trivial else (False, -unit)
-    if region.kind == POS:
-        return False, zero
-    if region.kind == FINITE:
+    kind = region.kind
+    if kind == WHOLE:
+        return _YES, _YES, unit
+    if kind == NONNEG:
+        return _refuted_by(None if unit is None else -unit), _refuted_by(unit), unit
+    if kind == POS:
+        return (False, zero), _refuted_by(unit), unit
+    if kind == FINITE:
+        elements = region.elements
         probe = [zero]
-        if not trivial:
-            for k in range(1, len(region.elements) + 2):
+        if unit is not None:
+            for k in range(1, len(elements) + 2):
                 probe.extend([unit.scale(k), -unit.scale(k)])
-        for g in probe:
-            if g not in region.elements:
-                return False, g
-        return True, None
+        return (
+            _refuted_by(next((g for g in probe if g not in elements), None)),
+            _refuted_by(next((e for e in elements if -e not in elements), None)),
+            next((e for e in reversed(elements) if zero < e), None),
+        )
     gens = [e for e in region.elements if not e.is_zero]
-    is_group = region.kind == SUBGROUP or monoid_is_group(gens, budget)
+    is_group = kind == SUBGROUP or monoid_is_group(gens, budget)
     if is_group:
-        ok, witness = generates_whole_group(gens, group)
-        return (True, None) if ok else (False, witness)
+        positive = max(gens[0], -gens[0]) if gens else None
+        return generates_whole_group(gens, group), _YES, positive
+    positive = next((e for e in gens if zero < e), None)
     if is_group is None:
-        return None, None
-    return False, -gens[0]  # one sign: no generator's inverse is a sum
-
-
-def _region_is_empty(region: Region) -> bool:
-    if region.kind == POS:
-        return unit_sample(region.group) is None
-    if region.kind == FINITE:
-        return not region.elements
-    return False
+        return (None, None), (None, None), positive
+    # one sign: no generator's inverse is a sum
+    return (False, -gens[0]), (False, gens[0]), positive
 
 
 def _region_sample(region: Region) -> GroupElement | None:
@@ -149,25 +159,6 @@ def _region_sample(region: Region) -> GroupElement | None:
     return region.elements[0] if region.elements else None
 
 
-def _region_symmetric(region: Region, budget: SearchBudget):
-    """Whether g in S implies -g in S: (True, None), (False, g), (None, None)."""
-    unit = unit_sample(region.group)
-    if region.kind in (WHOLE, SUBGROUP):
-        return True, None
-    if region.kind in (NONNEG, POS):
-        return (True, None) if unit is None else (False, unit)
-    if region.kind == FINITE:
-        for e in region.elements:
-            if -e not in region.elements:
-                return False, e
-        return True, None
-    gens = [e for e in region.elements if not e.is_zero]
-    is_group = monoid_is_group(gens, budget)
-    if is_group is None:
-        return None, None
-    return (True, None) if is_group else (False, gens[0])
-
-
 def _region_add_closed(region: Region):
     """Whether S + S is contained in S: (True, None) or (False, (s, t))."""
     if region.kind == FINITE:
@@ -175,28 +166,7 @@ def _region_add_closed(region: Region):
             for t in region.elements:
                 if s + t not in region.elements:
                     return False, (s, t)
-        return True, None
     return True, None
-
-
-def _region_positive_sample(region: Region, budget: SearchBudget) -> GroupElement | None:
-    """Some strictly positive element of the region, or None."""
-    group = region.group
-    zero = group_zero(group)
-    unit = unit_sample(group)
-    if unit is None:
-        return None
-    if region.kind in (WHOLE, NONNEG, POS):
-        return unit
-    if region.kind == FINITE:
-        return next((e for e in reversed(region.elements) if zero < e), None)
-    gens = [e for e in region.elements if not e.is_zero]
-    if not gens:
-        return None
-    if region.kind == SUBGROUP or monoid_is_group(gens, budget):
-        g = gens[0]
-        return g if zero < g else -g
-    return next((e for e in gens if zero < e), None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +203,7 @@ def _check_region_family(family: Family, condition: str,
         return _fails(_singleton(group, zero), "zero is outside the region")
 
     if condition == "S1":
-        whole, witness = _region_is_whole(region, budget)
+        (whole, witness), _, _ = _region_facts(region, budget)
         if whole:
             return _holds("region-is-whole-group")
         if whole is None:
@@ -260,14 +230,14 @@ def _check_region_family(family: Family, condition: str,
         )
 
     if condition == "A3":
-        if _region_is_empty(region):
+        sample = _region_sample(region)
+        if sample is None:
             return _holds("empty-region-family-is-translation-stable")
-        whole, outside = _region_is_whole(region, budget)
+        (whole, outside), _, _ = _region_facts(region, budget)
         if whole:
             return _holds("whole-group-is-translation-stable")
         if whole is None:
             return _unknown("region extent undecided within budget")
-        sample = _region_sample(region)
         return _fails(
             _singleton(group, outside),
             f"translate {{{sample}}} by {outside - sample}",
@@ -276,29 +246,22 @@ def _check_region_family(family: Family, condition: str,
     if condition == "A4":
         if not region_contains(region, zero, budget):
             return _fails(
-                _empty(group),
+                SupportSet(group, ()),
                 "sum closure of the empty set is {0}, which is not a member",
             )
-        if finite_only:
-            positive = _region_positive_sample(region, budget)
+        if finite_only or region.kind == FINITE:
+            _, _, positive = _region_facts(region, budget)
             if positive is None:
                 return _holds("no-positive-elements-to-sum")
+            escape = "is infinite" if finite_only else "escapes the finite region"
             return _fails(
                 _singleton(group, positive),
-                f"sum closure of {{{positive}}} is infinite",
-            )
-        if region.kind == FINITE:
-            positive = _region_positive_sample(region, budget)
-            if positive is None:
-                return _holds("no-positive-elements-to-sum")
-            return _fails(
-                _singleton(group, positive),
-                f"sum closure of {{{positive}}} escapes the finite region",
+                f"sum closure of {{{positive}}} {escape}",
             )
         return _holds("region-closed-under-nonnegative-sums")
 
     # A5
-    symmetric, witness = _region_symmetric(region, budget)
+    _, (symmetric, witness), _ = _region_facts(region, budget)
     if symmetric:
         return _holds("region-symmetric-on-singletons")
     if symmetric is None:
@@ -355,13 +318,13 @@ def _check_explicit_family(family: Family, condition: str,
         return _fails(boxed((zero,)), "{0} is not a member")
 
     if condition == "S1":
+        # a nontrivial group gives 2n + 3 distinct probes, so one of them
+        # is missing from the n members
         for g in _probe_values(group, len(members) + 1):
             if (g,) not in members:
                 g = GroupElement(group, g)
                 return _fails(_singleton(group, g), f"{{{g}}} is not a member")
-        if unit_sample(group) is None:
-            return _holds(rule)
-        return _unknown("probe set exhausted without refutation")
+        return _holds(rule)
 
     if condition == "S2":
         for m, raw in indexed:
@@ -410,22 +373,22 @@ def _check_explicit_family(family: Family, condition: str,
         return _holds(rule)
 
     if condition == "A3":
-        nonempty = [raw for raw in raw_members if raw]
-        if not nonempty:
+        first = next((raw for raw in raw_members if raw), None)
+        if first is None:
             return _holds("only-the-empty-set-to-translate")
         unit = unit_sample(group)
         if unit is None:
             return _holds("trivial-group-translations")
-        for raw in nonempty:
-            for k in range(1, len(members) + 2):
-                shift = scale(unit.value, k)
-                shifted = tuple(add(p, shift) for p in raw)
-                if shifted not in members:
-                    return _fails(
-                        boxed(shifted),
-                        f"member translated by {GroupElement(group, shift)} is missing",
-                    )
-        return _unknown("translation probes exhausted without refutation")
+        # n members cannot hold all n + 1 distinct translates of first
+        for k in range(1, len(members) + 2):
+            shift = scale(unit.value, k)
+            shifted = tuple(add(p, shift) for p in first)
+            if shifted not in members:
+                break
+        return _fails(
+            boxed(shifted),
+            f"member translated by {GroupElement(group, shift)} is missing",
+        )
 
     if condition == "A4":
         for m, raw in indexed:

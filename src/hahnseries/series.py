@@ -351,13 +351,14 @@ class EvaluationContext:
 
     def __init__(self, horizon: Horizon):
         self.horizon = horizon
-        # id -> (node, raw bound, raw terms, boxed terms or None)
-        self._complete_cache: dict[int, tuple] = {}
-        # (id, raw bound) -> (node, (raw terms, raw frontier)) when truncated
+        # Series nodes hash by identity, so each memo is keyed by the node.
+        # node -> (raw bound, raw terms, boxed terms or None)
+        self._complete_cache: dict[Series, tuple] = {}
+        # (node, raw bound) -> (raw terms, raw frontier) when truncated
         self._exact_cache: dict[tuple, tuple] = {}
-        self._inversions: dict[int, tuple[Series, InversionFactorization, Series]] = {}
-        # id -> (node, raw lower bound for min supp, None for the zero series)
-        self._vmin_bounds: dict[int, tuple] = {}
+        self._inversions: dict[Series, tuple[InversionFactorization, Series]] = {}
+        # node -> raw lower bound for min supp, None for the zero series
+        self._vmin_bounds: dict[Series, object] = {}
 
     def clone(self) -> EvaluationContext:
         other = EvaluationContext(self.horizon)
@@ -377,14 +378,13 @@ class EvaluationContext:
         if frontier is not None:
             return TermList(_box_terms(s, terms), False, box_exponent(s.group, frontier))
         # a complete result is a prefix of the memoised one
-        key = id(s)
-        hit = self._complete_cache.get(key)
+        hit = self._complete_cache.get(s)
         if hit is None:  # a leaf
             return TermList(_box_terms(s, terms))
-        node, top, raw, boxed = hit
+        top, raw, boxed = hit
         if boxed is None:
             boxed = _box_terms(s, raw)
-            self._complete_cache[key] = (node, top, raw, boxed)
+            self._complete_cache[s] = (top, raw, boxed)
         return TermList(boxed[:len(terms)], True, None)
 
     def resolve_inversion(self, s: Series) -> InversionFactorization:
@@ -397,19 +397,18 @@ class EvaluationContext:
     def _eval(self, node: Series, bound):
         if isinstance(node, _LEAVES):
             return self._cap(self._expand(node, bound))
-        key = id(node)
-        hit = self._complete_cache.get(key)
-        if hit is not None and not bound > hit[1]:
-            return _prefix(hit[2], bound), None
-        exact = self._exact_cache.get((key, bound))
+        hit = self._complete_cache.get(node)
+        if hit is not None and not bound > hit[0]:
+            return _prefix(hit[1], bound), None
+        exact = self._exact_cache.get((node, bound))
         if exact is not None:
-            return exact[1]
+            return exact
         result = self._cap(self._expand(node, bound))
         if result[1] is None:
-            if hit is None or hit[1] < bound:
-                self._complete_cache[key] = (node, bound, result[0], None)
+            if hit is None or hit[0] < bound:
+                self._complete_cache[node] = (bound, result[0], None)
         else:
-            self._exact_cache[(key, bound)] = (node, result)
+            self._exact_cache[(node, bound)] = result
         return result
 
     def _cap(self, result):
@@ -464,13 +463,9 @@ class EvaluationContext:
         with sharing computes each bound once."""
         if isinstance(node, _LEAVES):
             return self._compute_vmin_bound(node)
-        key = id(node)
-        hit = self._vmin_bounds.get(key)
-        if hit is not None:
-            return hit[1]
-        value = self._compute_vmin_bound(node)
-        self._vmin_bounds[key] = (node, value)
-        return value
+        if node not in self._vmin_bounds:
+            self._vmin_bounds[node] = self._compute_vmin_bound(node)
+        return self._vmin_bounds[node]
 
     def _compute_vmin_bound(self, node: Series):
         if isinstance(node, Monomial):
@@ -528,10 +523,9 @@ class EvaluationContext:
         return terms, None if covered else frontier
 
     def _resolve(self, node: Inverse) -> tuple[InversionFactorization, Series]:
-        key = id(node)
-        hit = self._inversions.get(key)
+        hit = self._inversions.get(node)
         if hit is not None:
-            return hit[1], hit[2]
+            return hit
         child = node.child
         if node.witness is not None:
             g0 = node.witness.value
@@ -565,7 +559,7 @@ class EvaluationContext:
         epsilon = Product(Monomial(neg_inv_lead, -g0), tail)
         expansion = Product(Monomial(lead.inverse(), -g0), GeometricTail(epsilon))
         fact = InversionFactorization(g0, lead, epsilon)
-        self._inversions[key] = (node, fact, expansion)
+        self._inversions[node] = (fact, expansion)
         return fact, expansion
 
     def _expand_tail(self, node: GeometricTail, bound):

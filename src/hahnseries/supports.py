@@ -262,26 +262,30 @@ def minkowski_sum(A: SupportSet, B: SupportSet, h: Horizon) -> SupportSet:
     if A.group != B.group:
         raise DescriptorMismatch("summand sets use different groups")
     bound = h.exp_bound
-    if A.is_empty or B.is_empty:
+    if (A.is_entire and A.is_empty) or (B.is_entire and B.is_empty):
         return SupportSet(A.group, ())
     sums = sorted({a + b for a in A.points for b in B.points})
-    # sums with unenumerated points of one side exceed its bound plus the
-    # other side's minimum; budget-hit bounds are exclusive
+    # sums with unenumerated points of X exceed X's bound plus the least
+    # point of Y, or plus Y's bound when Y lists none; budget-hit bounds
+    # are exclusive, so such a sum can reach the edge only when every
+    # bound it is built from is
     limit, strict = bound, False
     for X, Y in ((A, B), (B, A)):
         if X.bound is not None:
-            edge = X.bound + Y.points[0]
-            if edge < limit or (edge == limit and X.budget_hit):
-                limit, strict = edge, X.budget_hit
+            if Y.points:
+                edge, hit = X.bound + Y.points[0], X.budget_hit
+            else:
+                edge, hit = X.bound + Y.bound, X.budget_hit and Y.budget_hit
+            if edge < limit or (edge == limit and hit):
+                limit, strict = edge, hit
     kept = [s for s in sums if (s < limit if strict else not s > limit)]
-    budget_hit = A.budget_hit or B.budget_hit
     if A.is_entire and B.is_entire and not sums[-1] > bound:
         return SupportSet(A.group, tuple(kept))
     if len(kept) > h.term_bound:
         frontier = kept[h.term_bound]
         kept = kept[: h.term_bound]
         return SupportSet(A.group, tuple(kept), frontier, True)
-    return SupportSet(A.group, tuple(kept), limit, budget_hit)
+    return SupportSet(A.group, tuple(kept), limit, strict)
 
 
 def finite_sums_closure(A: SupportSet, h: Horizon) -> SupportSet:

@@ -96,6 +96,13 @@ def test_support_json():
     assert (code, json.loads(out)) == (0, {"support": ["1", "2"], "complete": False})
 
 
+def test_support_text_marks_a_truncated_enumeration():
+    code, out, _ = run_cli("support", "t^(1) + t^(2) + t^(3)", "--term-bound", "2")
+    assert (code, out) == (0, "{1,2},...\n")
+    code, out, _ = run_cli("support", "t^(1) + t^(2) + t^(3)", "--term-bound", "3")
+    assert (code, out) == (0, "{1,2,3}\n")
+
+
 def test_vmin_exits_on_the_term_budget_before_any_support_point():
     # the series is -t^(6), but the product spends its one term on t^(1),
     # which the sum cancels

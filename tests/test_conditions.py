@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from hahnseries.conditions import (
     CONDITION_NAMES,
@@ -252,6 +253,54 @@ def test_every_fails_witness_rechecks():
                 assert witness_refutes(F, cond, v), (str(F), cond, str(v))
                 checked += 1
     assert checked > 100
+
+
+def _random_element(rng, group):
+    if group == RATIONALS:
+        return group.element(Fraction(rng.choice((-1, 1)) * rng.randint(1, 15),
+                                      rng.choice((1, 2, 3))))
+    if group == TRIVIAL:
+        return group_zero(group)
+    return group.element(tuple(rng.randint(-3, 5) for _ in range(group.rank)))
+
+
+def _random_region_families(rng, group, count):
+    """W and FIN over every region kind, with ``count`` seeded random
+    generator sets for each of mon, grp and set."""
+    regions = [whole_group(group), nonneg_cone(group), pos_cone(group)]
+    for make in (submonoid, subgroup, finite_region):
+        for _ in range(count):
+            regions.append(make(group, [_random_element(rng, group)
+                                        for _ in range(rng.randint(1, 3))]))
+    return [fam(region) for region in regions for fam in (W, FIN)]
+
+
+def test_every_fails_witness_rechecks_over_every_group():
+    rng = random.Random(987)
+    checked = 0
+    for group in (RATIONALS, lex_product(2), lex_product(3), TRIVIAL):
+        for F in _random_region_families(rng, group, 40):
+            for cond in CONDITION_NAMES:
+                v = check_condition(F, cond)
+                if v.fails:
+                    assert witness_refutes(F, cond, v) is True, (str(F), cond, str(v))
+                    checked += 1
+    assert checked > 2000
+
+
+def test_explicit_families_decide_s1_and_a3():
+    # S1 probes 2n + 3 singletons and A3 n + 1 translates against n members
+    rng = random.Random(246)
+    for group in (INTEGERS, RATIONALS, lex_product(2)):
+        for _ in range(200):
+            points = [_random_element(rng, group) if group != INTEGERS
+                      else zq(rng.randint(-3, 3)) for _ in range(6)]
+            members = [rng.sample(points, rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.3:
+                members += [[p] for p in points]
+            F = explicit_family(group, members)
+            for cond in ("S1", "A3"):
+                assert not check_condition(F, cond).unknown, (str(F), cond)
 
 
 def test_submonoid_beyond_budget_is_unknown():

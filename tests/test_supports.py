@@ -118,6 +118,58 @@ def test_minkowski_sum_of_prefixes_matches_the_full_sets():
     got = minkowski_sum(zset(0, 10), hit, H(25))
     assert (vals(got), got.bound, got.budget_hit) == ([0, 1], zq(2), True)
 
+
+def _any_prefix(rng, points):
+    """The full set itself, or its enumerated prefix at any cut, which may
+    list no point at all."""
+    kind = rng.choice(("entire", "bounded", "budget_hit"))
+    if kind == "entire":
+        return explicit_support(INTEGERS, map(zq, points))
+    hit = kind == "budget_hit"
+    cut = rng.randint(-12, 30)
+    listed = [zq(p) for p in points if (p < cut if hit else p <= cut)]
+    return enumerated_support(INTEGERS, listed, zq(cut), hit)
+
+
+def test_minkowski_sum_of_any_prefixes_lists_what_its_bound_claims():
+    rng = random.Random(47)
+    for _ in range(600):
+        a, b = (sorted(rng.sample(range(-10, 30), rng.randint(0, 6))) for _ in range(2))
+        A, B = _any_prefix(rng, a), _any_prefix(rng, b)
+        got = minkowski_sum(A, B, H(25, rng.choice((3, 10000))))
+        sums = sorted({x + y for x in a for y in b})
+        if got.is_entire:
+            assert vals(got) == [s for s in sums if s <= 25], (str(A), str(B))
+            continue
+        # the listed points are exactly the sums inside the bound
+        cut = got.bound.value
+        inside = [s for s in sums if (s < cut if got.budget_hit else s <= cut)]
+        assert vals(got) == inside, (str(A), str(B), str(got))
+
+
+def test_minkowski_sum_of_an_empty_prefix_is_a_prefix():
+    empty5 = enumerated_support(INTEGERS, [], zq(5))
+    got = minkowski_sum(empty5, zset(0), H(20))
+    assert (vals(got), got.bound, got.budget_hit) == ([], zq(5), False)
+    got = minkowski_sum(zset(2, 9), empty5, H(20))
+    assert (vals(got), got.bound, got.budget_hit) == ([], zq(7), False)
+    # both empty: unlisted points lie above both bounds
+    got = minkowski_sum(empty5, enumerated_support(INTEGERS, [], zq(3), True), H(20))
+    assert (vals(got), got.bound, got.budget_hit) == ([], zq(8), False)
+    hit = enumerated_support(INTEGERS, [], zq(3), True)
+    got = minkowski_sum(hit, hit, H(20))
+    assert (vals(got), got.bound, got.budget_hit) == ([], zq(6), True)
+
+
+def test_minkowski_sum_bound_kind_follows_the_chosen_limit():
+    A = enumerated_support(INTEGERS, [zq(-5), zq(-4), zq(1)], zq(1))
+    B = enumerated_support(INTEGERS, [zq(-9), zq(2)], zq(17), True)
+    got = minkowski_sum(A, B, H(20))
+    # A's inclusive edge 1 + (-9) is tighter than B's exclusive 17 + (-5)
+    assert (vals(got), got.bound, got.budget_hit) == ([-14, -13, -8], zq(-8), False)
+    assert str(got) == "{-14,-13,-8} (<= -8)"
+
+
 def test_translate():
     assert vals(translate(zset(2, 3), zq(-2))) == [0, 1]
     assert vals(translate(zset(), zq(5))) == []
