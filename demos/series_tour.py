@@ -26,8 +26,7 @@ q = QQ.element
 
 def show(label, series, bound, term_bound=10000):
     tl = coefficients_up_to(series, Horizon(z(bound), term_bound))
-    flag = "" if tl.complete else f"   [truncated, frontier {tl.frontier}]"
-    print(f"{label:<38} {render_terms(tl)}{flag}")
+    print(f"{label:<38} {render_terms(tl)}")  # a truncated list ends in + O(t^(g))
 
 
 print("== arithmetic is exact and lazy ==")

@@ -21,9 +21,6 @@ from .groups import (
     INTEGERS,
     RATIONALS,
     TRIVIAL,
-    group_add,
-    group_cmp,
-    group_neg,
     group_zero,
     lex_product,
     subgroup_contains,
@@ -33,11 +30,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     QQ,
-    f_add,
-    f_inv,
-    f_is_zero,
-    f_mul,
-    f_neg,
     independent_coefficients,
     is_strictly_positive,
     prime_field,
@@ -63,9 +55,6 @@ from .series import (
     monomial,
     one_series,
     render_terms,
-    ser_add,
-    ser_mul,
-    ser_neg,
     support_up_to,
     t_power,
     terms_to_json_dict,

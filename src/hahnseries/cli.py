@@ -43,7 +43,7 @@ from .series import (
     Inverse,
     Truncation,
     render_terms,
-    terms_to_json_dict,
+    terms_to_json,
 )
 from .supports import (
     Family,
@@ -224,7 +224,7 @@ def _run_eval(args, out) -> int:
         v = tl.terms[0][0]
         print(json.dumps({"vmin": str(v)}) if args.json else str(v), file=out)
         return EXIT_OK
-    print(json.dumps(terms_to_json_dict(tl)) if args.json else render_terms(tl), file=out)
+    print(terms_to_json(tl) if args.json else render_terms(tl), file=out)
     return EXIT_OK
 
 

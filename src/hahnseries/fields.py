@@ -332,26 +332,6 @@ def box_coefficient(descriptor: FieldDescriptor, value) -> FieldElement:
     return c
 
 
-def f_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def f_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def f_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def f_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def f_is_zero(a: FieldElement) -> bool:
-    return a.is_zero
-
-
 def is_strictly_positive(a: FieldElement) -> bool:
     """a > 0 in the natural order of Q; other fields carry no order."""
     if not a.descriptor.is_ordered:

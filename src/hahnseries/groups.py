@@ -170,21 +170,6 @@ def group_zero(descriptor: GroupDescriptor) -> GroupElement:
     return GroupElement(descriptor, 0)
 
 
-def group_add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g + h
-
-
-def group_neg(g: GroupElement) -> GroupElement:
-    return -g
-
-
-def group_cmp(g: GroupElement, h: GroupElement) -> int:
-    """-1, 0 or 1 as g < h, g = h or g > h."""
-    if g < h:
-        return -1
-    return 0 if g == h else 1
-
-
 def _lex_add(a: tuple, b: tuple) -> tuple:
     return tuple(map(operator.add, a, b))
 

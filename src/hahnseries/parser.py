@@ -27,8 +27,8 @@ subexpression when that fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
@@ -41,11 +41,13 @@ from .series import (
 # ---------------------------------------------------------------------------
 # lexer
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
+# one alternative per token kind, in the order they are tried; a newline
+# and a run of other whitespace are matched so the scan can skip them
+_SCAN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\n)|[^\S\n]+|(\S)")
+_KINDS = (None, "NUM", "NAME", None, "OP")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM | NAME | OP | EOF
     text: str
     line: int
@@ -53,29 +55,18 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of the text in one scan, each with its 1-based line and
+    column, ending in an EOF token after the last character."""
     tokens = []
     line = 1
     line_start = 0
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
+    for m in _SCAN.finditer(text):
+        group = m.lastindex
+        if group == 3:
             line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        col = pos - line_start + 1
-        if m.group(1):
-            tokens.append(Token("NUM", m.group(1), line, col))
-        elif m.group(2):
-            tokens.append(Token("NAME", m.group(2), line, col))
-        else:
-            tokens.append(Token("OP", m.group(3), line, col))
-        pos = m.end()
+            line_start = m.end()
+        elif group is not None:
+            tokens.append(Token(_KINDS[group], m[group], line, m.start() - line_start + 1))
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -179,6 +170,9 @@ class _Parser:
             node = self.expr()
             self.expect(")")
             return node
+        if tok.text == "O" and self.tokens[self.i + 1].text == "(":
+            self.error("O(...) marks terms a truncated result left unlisted;"
+                       " it is not a series and cannot be read back")
         return Monomial(self.coefficient(), group_zero(self.group))
 
     # -- exponents ---------------------------------------------------------

@@ -28,6 +28,8 @@ import heapq
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorMismatch,
@@ -36,9 +38,9 @@ from .errors import (
     TermBudgetExceeded,
     ZeroUpToHorizon,
 )
-from .fields import FieldDescriptor, FieldElement, box_coefficient
+from .fields import RATFUNC_KIND, FieldDescriptor, FieldElement, box_coefficient
 from .fields import raw_ops as field_ops
-from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
+from .groups import INTEGERS_KIND, GroupDescriptor, GroupElement, box_exponent, group_zero
 from .groups import raw_ops as group_ops
 
 DEFAULT_TERM_BOUND = 10000
@@ -106,7 +108,13 @@ def coefficient_text(c: FieldElement) -> str:
 
 
 def render_terms(tl: TermList) -> str:
-    """Canonical text form, e.g. ``1 - 1*t^(1) + 2/3*t^(5/2)``."""
+    """Canonical text form, e.g. ``1 - 1*t^(1) + 2/3*t^(5/2)``.  A
+    truncated list ends in ``O(t^(g))`` at its frontier g, as in
+    ``1 + 1*t^(1) + O(t^(2))``: the terms from g on are not listed."""
+    if not tl.complete:
+        listed = render_terms(TermList(tl.terms))
+        tail = f"O(t^({tl.frontier}))"
+        return f"{listed} + {tail}" if tl.terms else tail
     if not tl.terms:
         return "0"
     ordered = tl.terms[0][1].descriptor.is_ordered
@@ -130,6 +138,14 @@ def terms_to_json_dict(tl: TermList) -> dict:
         "terms": [{"exp": str(g), "coef": str(c)} for g, c in tl.terms],
         "complete": tl.complete,
     }
+
+
+def terms_to_json(tl: TermList) -> str:
+    """``json.dumps(terms_to_json_dict(tl))``, written without a dict per
+    term.  Exponent and coefficient texts hold only ASCII digits, letters
+    and ``/-()^*+,``, which JSON strings take unescaped."""
+    body = ", ".join([f'{{"exp": "{g}", "coef": "{c}"}}' for g, c in tl.terms])
+    return f'{{"terms": [{body}], "complete": {"true" if tl.complete else "false"}}}'
 
 
 class Series:
@@ -298,6 +314,15 @@ class InversionFactorization:
 # a node evaluates to the pair (terms, frontier) of a TermList, with raw
 # (g, c) terms and a raw frontier that is None exactly when complete.
 # Values are boxed only where they leave the context.
+#
+# A product multiplies its operands' terms pairwise, except that two
+# dense operands with Z exponents over Q or F_p take the Kronecker path
+# below (``_dense`` decides from the operands alone).  Q and Z^n
+# exponents could take it through a common denominator or a packed box,
+# and F_p(x) numerators could be packed the same way; they keep the loop
+# for now.  No benchmark workload multiplies dense operands with Q or Z^n
+# exponents, and faster F_p(x) products would raise the benchmark's peak
+# memory through the jobs its harness keeps per round (see ROADMAP.md).
 
 def _fmin(a, b):
     """The lesser of two frontiers, where None means no limit."""
@@ -328,6 +353,92 @@ def _collect(acc, frontier, ops):
     return terms, frontier
 
 
+# A product of two dense Z-exponent operands over Q or F_p is one integer
+# multiplication (Kronecker substitution): each operand becomes an
+# integer with one fixed-width slot per exponent of its span, and the
+# slots of the product of the two integers hold the product's
+# coefficients.  The pairwise loop costs one multiply per pair of terms,
+# the packed product a few byte operations per slot of the two spans; a
+# sweep of both over term counts and gap ratios (CHANGES.md) puts the
+# break-even near two pairs per slot over F_7, with Q far below it, and
+# near 8 terms a side.  The path asks for twice that margin.
+_DENSE_MIN_TERMS = 16
+_DENSE_PAIRS_PER_SLOT = 4
+
+
+def _dense(a, b) -> bool:
+    """Whether the Kronecker product of two raw term lists of Z-exponent
+    series beats the pairwise loop: each has at least _DENSE_MIN_TERMS
+    terms, and their pairs number at least _DENSE_PAIRS_PER_SLOT per
+    slot of the two spans."""
+    if len(a) < _DENSE_MIN_TERMS or len(b) < _DENSE_MIN_TERMS:
+        return False
+    slots = a[-1][0] - a[0][0] + b[-1][0] - b[0][0] + 2
+    return len(a) * len(b) >= _DENSE_PAIRS_PER_SLOT * slots
+
+
+def _slot_bias(slots: int, width: int) -> int:
+    """The integer whose ``slots`` slots of ``width`` bytes each hold
+    half the slot range."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack(terms, values, width: int) -> int:
+    """The sum of v * 2^(8*width*(g - g0)) over the exponents g of the
+    terms and their values v, g0 the first exponent.  Each value is biased
+    by half the slot range, so every slot is written as unsigned bytes;
+    the bias is then taken off all slots at once."""
+    g0 = terms[0][0]
+    half = 1 << (8 * width - 1)
+    slots = [half] * (terms[-1][0] - g0 + 1)
+    for (g, _), v in zip(terms, values):
+        slots[g - g0] = v + half
+    packed = int.from_bytes(b"".join([s.to_bytes(width, "little") for s in slots]), "little")
+    return packed - _slot_bias(len(slots), width)
+
+
+def _kronecker_product(a, b, top, p):
+    """The nonzero terms of a*b with exponent <= top, from the nonempty raw
+    terms of two Z-exponent series over F_p, or over Q when p is None."""
+    a = _prefix(a, top - b[0][0])
+    if not a:
+        return ()
+    b = _prefix(b, top - a[0][0])
+    if p is None:
+        # integer slots: each operand's coefficients times the LCM of
+        # their denominators, which the product's coefficients divide out
+        da = lcm(*[c.denominator for _, c in a])
+        db = lcm(*[c.denominator for _, c in b])
+        va = [c.numerator * (da // c.denominator) for _, c in a]
+        vb = [c.numerator * (db // c.denominator) for _, c in b]
+    else:
+        va = [c for _, c in a]
+        vb = [c for _, c in b]
+    # a slot of the product sums at most min(len) products, plus a sign bit
+    limit = min(len(va), len(vb)) * max(map(abs, va)) * max(map(abs, vb))
+    width = limit.bit_length() // 8 + 1
+    g0 = a[0][0] + b[0][0]
+    n = a[-1][0] + b[-1][0] - g0 + 1
+    # biased again, every slot of the product reads as unsigned bytes
+    product = _pack(a, va, width) * _pack(b, vb, width) + _slot_bias(n, width)
+    raw = product.to_bytes(n * width, "little")
+    half = 1 << (8 * width - 1)
+    stop = min(n, top - g0 + 1) * width
+    terms = []
+    if p is None:
+        d = da * db
+        for j in range(0, stop, width):
+            c = int.from_bytes(raw[j:j + width], "little") - half
+            if c:
+                terms.append((g0 + j // width, Fraction(c, d)))
+    else:
+        for j in range(0, stop, width):
+            c = (int.from_bytes(raw[j:j + width], "little") - half) % p
+            if c:
+                terms.append((g0 + j // width, c))
+    return tuple(terms)
+
+
 # A leaf holds its own terms, so evaluating one again costs no more than
 # a memo hit: leaves are not memoised.
 _LEAVES = (Monomial, Literal)
@@ -341,8 +452,8 @@ def _box_terms(node: Series, terms) -> tuple:
 class EvaluationContext:
     """Holds the horizon and the per-node memo of evaluated prefixes.
 
-    One context is single threaded; clones share nothing mutable, so they
-    can run in parallel.  TermLists are immutable and freely shareable.
+    One context is single threaded.  TermLists are immutable and freely
+    shareable.
     The complete result of each node but a leaf is memoised once, at the
     largest bound asked, with its boxed terms beside the raw ones once a
     caller has asked for them; a query below that bound is a bisect and a
@@ -359,14 +470,6 @@ class EvaluationContext:
         self._inversions: dict[Series, tuple[InversionFactorization, Series]] = {}
         # node -> raw lower bound for min supp, None for the zero series
         self._vmin_bounds: dict[Series, object] = {}
-
-    def clone(self) -> EvaluationContext:
-        other = EvaluationContext(self.horizon)
-        other._complete_cache = dict(self._complete_cache)
-        other._exact_cache = dict(self._exact_cache)
-        other._inversions = dict(self._inversions)
-        other._vmin_bounds = dict(self._vmin_bounds)
-        return other
 
     # -- public ---------------------------------------------------------
 
@@ -497,6 +600,12 @@ class EvaluationContext:
         gadd, gneg, _ = group_ops(node.group)
         a, fa = self._eval(node.left, gadd(bound, gneg(vb)))
         b, fb = self._eval(node.right, gadd(bound, gneg(va)))
+        frontier = _fmin(None if fa is None else gadd(fa, vb),
+                         None if fb is None else gadd(fb, va))
+        if (node.group.kind == INTEGERS_KIND and node.field.kind != RATFUNC_KIND
+                and _dense(a, b)):
+            top = bound if frontier is None or frontier > bound else frontier - 1
+            return _kronecker_product(a, b, top, node.field.p), frontier
         ops = field_ops(node.field)
         add, mul = ops.add, ops.mul
         acc = {}
@@ -506,8 +615,6 @@ class EvaluationContext:
                 if g > bound:
                     break
                 acc[g] = add(acc[g], mul(ca, cb)) if g in acc else mul(ca, cb)
-        frontier = _fmin(None if fa is None else gadd(fa, vb),
-                         None if fb is None else gadd(fb, va))
         return _collect(acc, frontier, ops)
 
     def _expand_truncation(self, node: Truncation, bound):
@@ -660,18 +767,6 @@ def from_terms(group: GroupDescriptor, fld: FieldDescriptor, terms) -> Series:
 
 # ---------------------------------------------------------------------------
 # operations
-
-def ser_add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def ser_neg(a: Series) -> Series:
-    return -a
-
-
-def ser_mul(a: Series, b: Series) -> Series:
-    return a * b
-
 
 def truncate(s: Series, g: GroupElement, inclusive: bool = False) -> Series:
     """The initial segment of s strictly below g (or through g when

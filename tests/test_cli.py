@@ -103,6 +103,37 @@ def test_support_text_marks_a_truncated_enumeration():
     assert (code, out) == (0, "{1,2,3}\n")
 
 
+def test_eval_text_marks_an_unlisted_tail():
+    code, out, _ = run_cli("eval", "t^(1) + t^(2) + t^(3)", "--term-bound", "2")
+    assert (code, out) == (0, "1*t^(1) + 1*t^(2) + O(t^(3))\n")
+    code, out, _ = run_cli("eval", "t^(1) + t^(2) + t^(3)", "--term-bound", "3")
+    assert (code, out) == (0, "1*t^(1) + 1*t^(2) + 1*t^(3)\n")
+    # the JSON form is unchanged: it says "complete": false
+    code, out, _ = run_cli("eval", "t^(1) + t^(2) + t^(3)", "--term-bound", "2", "--json")
+    assert (code, json.loads(out)) == (0, {
+        "terms": [{"exp": "1", "coef": "1"}, {"exp": "2", "coef": "1"}], "complete": False})
+
+
+def test_invert_and_trunc_text_mark_an_unlisted_tail():
+    code, out, _ = run_cli("invert", "1 - t^(1)", "--exp-bound", "9", "--term-bound", "3")
+    assert (code, out) == (0, "1 + 1*t^(1) + 1*t^(2) + O(t^(3))\n")
+    code, out, _ = run_cli("trunc", "1 + 2*t^(1) + 3*t^(2) + 4*t^(3)", "3",
+                           "--exp-bound", "5", "--term-bound", "2")
+    assert (code, out) == (0, "1 + 2*t^(1) + O(t^(2))\n")
+    # a truncated result without a listed term is its tail alone
+    code, out, _ = run_cli("eval", "inv(1 + t^((0,1))) - inv(1 + t^((0,1)))",
+                           "--group", "Z^2", "--exp-bound", "(1,0)", "--term-bound", "5")
+    assert (code, out) == (0, "O(t^((0,5)))\n")
+
+
+def test_a_tail_marker_does_not_read_back():
+    _, out, _ = run_cli("eval", "t^(1) + t^(2) + t^(3)", "--term-bound", "2")
+    code, out, err = run_cli("eval", out.strip())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: O(...) marks terms a truncated result left unlisted")
+    assert err.endswith("(line 1, column 21)\n")
+
+
 def test_vmin_exits_on_the_term_budget_before_any_support_point():
     # the series is -t^(6), but the product spends its one term on t^(1),
     # which the sum cancels

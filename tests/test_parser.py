@@ -7,6 +7,7 @@ from hahnseries.errors import ParseError
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, lex_product
 from hahnseries.parser import (
+    _tokenize,
     default_bound,
     parse_exponent_text,
     parse_expression,
@@ -75,6 +76,27 @@ def test_syntax_error_column():
     with pytest.raises(ParseError) as info:
         parse_q("1 + * 2")
     assert info.value.column == 5
+
+
+def test_tokens_carry_their_line_and_column():
+    text = "1 +\t t^(2)\n  * inv(x)\r\n- 3\u3000+ 4\n"
+    assert [tuple(t) for t in _tokenize(text)] == [
+        ("NUM", "1", 1, 1), ("OP", "+", 1, 3), ("NAME", "t", 1, 6), ("OP", "^", 1, 7),
+        ("OP", "(", 1, 8), ("NUM", "2", 1, 9), ("OP", ")", 1, 10), ("OP", "*", 2, 3),
+        ("NAME", "inv", 2, 5), ("OP", "(", 2, 8), ("NAME", "x", 2, 9), ("OP", ")", 2, 10),
+        ("OP", "-", 3, 1), ("NUM", "3", 3, 3), ("OP", "+", 3, 5), ("NUM", "4", 3, 7),
+        ("EOF", "", 4, 1),
+    ]
+    with pytest.raises(ParseError) as info:
+        parse_q("1 +\n  * 2")
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize("fld", [QQ, F3X], ids=str)
+def test_a_tail_marker_is_rejected_where_it_stands(fld):
+    with pytest.raises(ParseError, match=r"O\(\.\.\.\) marks") as info:
+        parse_expression("1 + 1*t^(1) + O(t^(2))", INTEGERS, fld)
+    assert info.value.column == 15
 
 
 def test_witness_syntax():

@@ -1,3 +1,4 @@
+import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from hahnseries.series import (
     one_series,
     render_terms,
     support_up_to,
+    terms_to_json,
     terms_to_json_dict,
     truncate,
     vmin,
@@ -329,6 +331,30 @@ def test_render_json():
     }
 
 
+def test_render_text_marks_an_unlisted_tail():
+    tl = coefficients_up_to(poly((0, 1), (1, -2), (4, 3)), Horizon(zq(9), 2))
+    assert (tl.complete, tl.frontier) == (False, zq(4))
+    assert render_terms(tl) == "1 - 2*t^(1) + O(t^(4))"
+    assert render_terms(TermList((), False, zq(-2))) == "O(t^(-2))"
+
+
+def test_json_text_equals_the_dumped_dict():
+    cases = [
+        coefficients_up_to(poly((0, 1), (2, -1), (5, Fraction(-7, 3))), H(9)),
+        coefficients_up_to(poly((0, 1), (2, -1), (5, 2)), Horizon(zq(9), 2)),
+        TermList(()),
+        TermList((), False, zq(3)),
+        coefficients_up_to(from_terms(INTEGERS, F5, [(zq(1), F5.element(3))]), H(2)),
+    ]
+    f3x = rational_functions(3)
+    cases.append(TermList(((zq(0), f3x.element(((1, 2, 1), (0, 1)))),)))
+    lex = lex_product(2)
+    cases.append(TermList(((lex.element((1, -3)), QQ.element(Fraction(1, 2))),), False,
+                          lex.element((2, 0))))
+    for tl in cases:
+        assert terms_to_json(tl) == json.dumps(terms_to_json_dict(tl))
+
+
 def test_memo_reuse_across_bounds():
     ctx = EvaluationContext(H(20))
     b = poly((0, 1), (1, -1), (2, -1))
@@ -374,14 +400,6 @@ def test_omega_block_memo_case_is_truncated_at_the_top():
     ctx = EvaluationContext(horizon)
     assert [ctx.coefficients(node, b).complete for b in bounds] == [
         False, False, False, False, True, True]
-
-
-def test_context_clone_is_independent():
-    ctx = EvaluationContext(H(10))
-    s = poly((0, 1), (1, 1))
-    ctx.coefficients(s)
-    other = ctx.clone()
-    assert other.coefficients(s) == ctx.coefficients(s)
 
 
 def test_inverse_composition_laws():
@@ -437,4 +455,3 @@ def test_vmin_bound_computed_once_per_node_of_a_shared_dag():
         n * (n - 1) * (n - 2) * (n - 3) // 24,
         n * (n - 1) * (n - 2) * (n - 3) * (n - 4) // 120,
     ]
-    assert ctx.clone()._vmin_bounds == ctx._vmin_bounds
