@@ -5,7 +5,15 @@ a coefficient is ``Monomial(c, 0)``, ``t^(g)`` is ``Monomial(1, g)``,
 the terms of an ``expr`` make one ``Sum`` with a summand per term, a
 subtracted term being ``Neg`` of it (``a - b + c`` is
 ``Sum(a, Neg(b), c)``), a leading ``-`` is ``Neg``, ``*`` is ``Product``,
-and ``inv`` and ``trunc`` are ``Inverse`` and ``Truncation``.
+and ``inv`` and ``trunc`` are ``Inverse`` and ``Truncation``.  So a
+written term ``c*t^(g)`` is ``Product(Monomial(c, 0), Monomial(1, g))``
+and ``-c*t^(g)`` is a ``Neg`` of it; the evaluator reads such a term as
+a leaf, straight to its one term (see ``series._written_term``).
+
+A token is kept as its text alone; its line and column are found again
+from the input only when a ``ParseError`` reports them.  Exponents and
+coefficients are built in canonical form and boxed without
+renormalising.
 
 Grammar (exponents always parenthesised to keep lookahead trivial):
 
@@ -28,11 +36,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ParseError
-from .fields import FieldDescriptor, FieldElement, poly_add, poly_mul, poly_neg
-from .groups import GroupDescriptor, GroupElement, group_zero
+from .fields import (
+    QQ, FieldDescriptor, FieldElement, box_coefficient, poly_add, poly_mul, poly_neg,
+)
+from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
+from .groups import raw_ops as group_ops
 from .series import (
     Inverse, Monomial, Neg, Product, Series, Sum, Truncation, children, coefficient_text,
 )
@@ -41,74 +51,78 @@ from .series import (
 # ---------------------------------------------------------------------------
 # lexer
 
-# one alternative per token kind, in the order they are tried; a newline
-# and a run of other whitespace are matched so the scan can skip them
-_SCAN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\n)|[^\S\n]+|(\S)")
-_KINDS = (None, "NUM", "NAME", None, "OP")
+# a token is a run of decimal digits (a number), a name, or any other
+# single non-space character; whitespace only separates tokens
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
 
 
-class Token(NamedTuple):
-    kind: str  # NUM | NAME | OP | EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of the text in one scan, each with its 1-based line and
-    column, ending in an EOF token after the last character."""
-    tokens = []
-    line = 1
-    line_start = 0
-    for m in _SCAN.finditer(text):
-        group = m.lastindex
-        if group == 3:
-            line += 1
-            line_start = m.end()
-        elif group is not None:
-            tokens.append(Token(_KINDS[group], m[group], line, m.start() - line_start + 1))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens in one scan, ending in "" for the end of
+    input.  A token is a number exactly when ``str.isdecimal`` holds."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _token_starts(text: str) -> list[int]:
+    """The offset where each token of the text starts, and the length of
+    the text for the end-of-input token."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    starts.append(len(text))
+    return starts
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset in the text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, text: str, group: GroupDescriptor, fld: FieldDescriptor):
+        self.text = text
         self.tokens = _tokenize(text)
+        self.starts = None  # token offsets, found once the first error needs them
         self.i = 0
         self.group = group
         self.field = fld
+        # shared by every monomial the parse builds; elements are immutable
+        self.one = fld.one
+        self.zero = group_zero(group)
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def error(self, message: str, index: int | None = None):
+        """Raise a ParseError at the index-th token, by default the next."""
+        if self.starts is None:
+            self.starts = _token_starts(self.text)
+        line, column = _line_column(self.text, self.starts[self.i if index is None else index])
+        raise ParseError(message, line, column)
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            shown = tok.text or "end of input"
-            self.error(f"expected {text!r}, found {shown!r}")
-        return self.advance()
+    def expect(self, text: str) -> str:
+        tok = self.tokens[self.i]
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.i += 1
+        return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.i] == text
 
     # -- expression grammar ----------------------------------------------
 
     def parse(self) -> Series:
         node = self.expr()
         tok = self.peek()
-        if tok.kind != "EOF":
-            self.error(f"unexpected {tok.text!r} after expression")
+        if tok:
+            self.error(f"unexpected {tok!r} after expression")
         return node
 
     def expr(self) -> Series:
@@ -117,8 +131,8 @@ class _Parser:
             summands: list[Series] = [Neg(self.term())]
         else:
             summands = [self.term()]
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        while self.peek() in ("+", "-"):
+            op = self.advance()
             rhs = self.term()
             summands.append(rhs if op == "+" else Neg(rhs))
         return Sum(*summands) if len(summands) > 1 else summands[0]
@@ -132,14 +146,14 @@ class _Parser:
 
     def factor(self) -> Series:
         tok = self.peek()
-        if tok.text == "t":
+        if tok == "t":
             self.advance()
             self.expect("^")
             self.expect("(")
             g = self.exponent()
             self.expect(")")
-            return Monomial(self.field.one, g)
-        if tok.text == "inv":
+            return Monomial(self.one, g)
+        if tok == "inv":
             self.advance()
             self.expect("(")
             child = self.expr()
@@ -151,7 +165,7 @@ class _Parser:
                 witness = self.exponent()
             self.expect(")")
             return Inverse(child, witness)
-        if tok.text == "trunc":
+        if tok == "trunc":
             self.advance()
             self.expect("(")
             child = self.expr()
@@ -159,21 +173,21 @@ class _Parser:
             g = self.exponent()
             self.expect(")")
             return Truncation(child, g)
-        if tok.text == "(":
+        if tok == "(":
             if self.field.kind == "Fp(x)":
                 mark = self.i
                 try:
-                    return Monomial(self.ratfunc(), group_zero(self.group))
+                    return Monomial(self.ratfunc(), self.zero)
                 except ParseError:
                     self.i = mark
             self.advance()
             node = self.expr()
             self.expect(")")
             return node
-        if tok.text == "O" and self.tokens[self.i + 1].text == "(":
+        if tok == "O" and self.tokens[self.i + 1] == "(":
             self.error("O(...) marks terms a truncated result left unlisted;"
                        " it is not a series and cannot be read back")
-        return Monomial(self.coefficient(), group_zero(self.group))
+        return Monomial(self.coefficient(), self.zero)
 
     # -- exponents ---------------------------------------------------------
 
@@ -183,10 +197,10 @@ class _Parser:
             self.advance()
             negative = True
         tok = self.peek()
-        if tok.kind != "NUM":
+        if not tok.isdecimal():
             self.error("expected an integer")
         self.advance()
-        value = int(tok.text)
+        value = int(tok)
         return -value if negative else value
 
     def exponent(self) -> GroupElement:
@@ -200,23 +214,23 @@ class _Parser:
             self.expect(")")
             if len(coords) != self.group.rank:
                 self.error(f"expected {self.group.rank} coordinates")
-            return self.group.element(tuple(coords))
+            return box_exponent(self.group, tuple(coords))
         if kind == "trivial":
-            tok = self.peek()
+            mark = self.i
             if self.signed_int() != 0:
-                self.error("the trivial group has only the exponent 0", tok)
-            return group_zero(self.group)
+                self.error("the trivial group has only the exponent 0", mark)
+            return self.zero
         n = self.signed_int()
         if kind == "Q":
             if self.at("/"):
                 self.advance()
-                tok = self.peek()
+                mark = self.i
                 d = self.signed_int()
                 if d == 0:
-                    self.error("zero denominator", tok)
-                return self.group.element(Fraction(n, d))
-            return self.group.element(Fraction(n))
-        return self.group.element(n)
+                    self.error("zero denominator", mark)
+                return box_exponent(self.group, Fraction(n, d))
+            return box_exponent(self.group, Fraction(n))
+        return box_exponent(self.group, n)
 
     # -- coefficients -------------------------------------------------------
 
@@ -225,27 +239,25 @@ class _Parser:
         if kind == "Fp(x)":
             return self.ratfunc()
         tok = self.peek()
-        if tok.kind != "NUM":
-            shown = tok.text or "end of input"
-            self.error(f"expected a coefficient, found {shown!r}")
+        if not tok.isdecimal():
+            self.error(f"expected a coefficient, found {tok or 'end of input'!r}")
         self.advance()
-        n = int(tok.text)
+        n = int(tok)
+        p = self.field.p
         if self.at("/"):
             self.advance()
-            dtok = self.peek()
-            if dtok.kind != "NUM":
+            mark = self.i
+            if not self.peek().isdecimal():
                 self.error("expected a denominator")
-            self.advance()
-            d = int(dtok.text)
+            d = int(self.advance())
             if kind == "Q":
                 if d == 0:
-                    self.error("zero denominator", dtok)
-                return self.field.element(Fraction(n, d))
-            den = self.field.element(d)
-            if den.is_zero:
-                self.error("zero denominator in the coefficient field", dtok)
-            return self.field.element(n) * den.inverse()
-        return self.field.element(n)
+                    self.error("zero denominator", mark)
+                return box_coefficient(self.field, Fraction(n, d))
+            if d % p == 0:
+                self.error("zero denominator in the coefficient field", mark)
+            return box_coefficient(self.field, n * pow(d, -1, p) % p)
+        return box_coefficient(self.field, Fraction(n) if kind == "Q" else n % p)
 
     def ratfunc(self) -> FieldElement:
         num = self.ppoly()
@@ -255,7 +267,8 @@ class _Parser:
             if not any(den):
                 self.error("zero denominator in rational function")
             return self.field.element((num, den))
-        return self.field.element((num, (1,)))
+        # a trimmed numerator over 1 is already in lowest terms
+        return box_coefficient(self.field, (num, (1,)))
 
     def ppoly(self) -> tuple[int, ...]:
         if self.at("("):
@@ -268,8 +281,8 @@ class _Parser:
     def poly(self) -> tuple[int, ...]:
         p = self.field.p
         total = self.mono()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        while self.peek() in ("+", "-"):
+            op = self.advance()
             nxt = self.mono()
             if op == "-":
                 nxt = poly_neg(nxt, p)
@@ -281,13 +294,12 @@ class _Parser:
         tok = self.peek()
         coeff = 1
         have_num = False
-        if tok.kind == "NUM":
+        if tok.isdecimal():
             self.advance()
-            coeff = int(tok.text) % p
+            coeff = int(tok) % p
             have_num = True
             if self.at("*"):
-                nxt = self.tokens[self.i + 1]
-                if nxt.text != "x":
+                if self.tokens[self.i + 1] != "x":
                     return ((coeff,) if coeff else ())
                 self.advance()
         if self.at("x"):
@@ -295,18 +307,15 @@ class _Parser:
             deg = 1
             if self.at("^"):
                 self.advance()
-                dtok = self.peek()
-                if dtok.kind != "NUM":
+                if not self.peek().isdecimal():
                     self.error("expected a power of x")
-                self.advance()
-                deg = int(dtok.text)
+                deg = int(self.advance())
             if coeff == 0:
                 return ()
             return poly_mul((coeff,), (0,) * deg + (1,), p)
         if have_num:
             return ((coeff,) if coeff else ())
-        shown = tok.text or "end of input"
-        self.error(f"expected a polynomial term, found {shown!r}")
+        self.error(f"expected a polynomial term, found {tok or 'end of input'!r}")
 
 
 def parse_expression(text: str, group: GroupDescriptor,
@@ -315,9 +324,9 @@ def parse_expression(text: str, group: GroupDescriptor,
 
 
 def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
-    p = _Parser(text, group, FieldDescriptor("Q"))
+    p = _Parser(text, group, QQ)
     g = p.exponent()
-    if p.peek().kind != "EOF":
+    if p.peek():
         p.error("trailing input after exponent")
     return g
 
@@ -392,19 +401,23 @@ def _wrap_additive(node: Series) -> str:
 def default_bound(series: Series) -> GroupElement | None:
     """The evaluation bound of an expression given without one: the
     largest exponent written in it, counting -g0 of each witnessed
-    inverse, or None when some inverse has no witness.  The walk visits
-    each node once per parent, which suits parsed trees: they share no
-    nodes."""
-    best = group_zero(series.group)
+    inverse, or None when some inverse has no witness.  The walk compares
+    raw values and visits each node once per parent, which suits parsed
+    trees: they share no nodes."""
+    group = series.group
+    neg = group_ops(group)[1]
+    best = group_zero(group).value
     stack = [series]
     while stack:
         node = stack.pop()
-        if isinstance(node, Monomial) and best < node.exponent:
-            best = node.exponent
-        elif isinstance(node, Inverse):
+        if isinstance(node, Monomial):
+            if best < node.exponent.value:
+                best = node.exponent.value
+            continue
+        if isinstance(node, Inverse):
             if node.witness is None:
                 return None
-            if best < -node.witness:
-                best = -node.witness
+            if best < neg(node.witness.value):
+                best = neg(node.witness.value)
         stack.extend(children(node))
-    return best
+    return box_exponent(group, best)

@@ -163,7 +163,9 @@ class Series:
     def _match(self, other: Series) -> Series:
         if not isinstance(other, Series):
             raise TypeError(f"expected Series, got {type(other).__name__}")
-        if other.group != self.group or other.field != self.field:
+        # descriptors are shared objects, so identity settles nearly every check
+        if (other.group is not self.group and other.group != self.group
+                or other.field is not self.field and other.field != self.field):
             raise DescriptorMismatch(
                 f"series descriptors differ: ({self.group}, {self.field})"
                 f" vs ({other.group}, {other.field})"
@@ -440,8 +442,34 @@ def _kronecker_product(a, b, top, p):
 
 
 # A leaf holds its own terms, so evaluating one again costs no more than
-# a memo hit: leaves are not memoised.
+# a memo hit: leaves are not memoised.  A written term is a leaf too: a
+# Monomial, a Product of two Monomials, or a Neg of either, the shapes the
+# parser builds for ``c*t^(g)`` and ``-c*t^(g)``.  It evaluates straight
+# to its one term, with no memo entry, no vmin bound and no operand
+# bookkeeping: a sum merges it in place, and ``_eval`` and ``_vmin_bound``
+# test for its shape only after a memo miss, so a memo hit costs what it
+# did.
 _LEAVES = (Monomial, Literal)
+
+
+def _written_term(node: Series, ops):
+    """The raw (exponent, coefficient) of a written term, the coefficient
+    possibly zero, or None when the node is not a written term.  ``ops``
+    is the node's field arithmetic.  Looks at the node and its children
+    only, so a chain of products costs one test per node."""
+    negated = isinstance(node, Neg)
+    if negated:
+        node = node.child
+    if isinstance(node, Monomial):
+        g, c = node.exponent.value, node.coefficient.value
+    elif (isinstance(node, Product) and isinstance(node.left, Monomial)
+          and isinstance(node.right, Monomial)):
+        a, b = node.left, node.right
+        g = group_ops(node.group)[0](a.exponent.value, b.exponent.value)
+        c = ops.mul(a.coefficient.value, b.coefficient.value)
+    else:
+        return None
+    return g, ops.neg(c) if negated else c
 
 
 def _box_terms(node: Series, terms) -> tuple:
@@ -498,11 +526,15 @@ class EvaluationContext:
     # -- evaluation core --------------------------------------------------
 
     def _eval(self, node: Series, bound):
-        if isinstance(node, _LEAVES):
-            return self._cap(self._expand(node, bound))
+        if isinstance(node, Literal):
+            return self._cap((_prefix(node.raw_terms, bound), None))
         hit = self._complete_cache.get(node)
         if hit is not None and not bound > hit[0]:
             return _prefix(hit[1], bound), None
+        ops = field_ops(node.field)
+        term = _written_term(node, ops)
+        if term is not None:
+            return (() if term[0] > bound or ops.is_zero(term[1]) else (term,)), None
         exact = self._exact_cache.get((node, bound))
         if exact is not None:
             return exact
@@ -524,13 +556,6 @@ class EvaluationContext:
         return terms[:cap], _fmin(frontier, terms[cap][0])
 
     def _expand(self, node: Series, bound):
-        if isinstance(node, Monomial):
-            g, c = node.exponent.value, node.coefficient.value
-            if g > bound or field_ops(node.field).is_zero(c):
-                return (), None
-            return ((g, c),), None
-        if isinstance(node, Literal):
-            return _prefix(node.raw_terms, bound), None
         if isinstance(node, Neg):
             terms, frontier = self._eval(node.child, bound)
             neg = field_ops(node.field).neg
@@ -554,8 +579,12 @@ class EvaluationContext:
         frontier = None
         merged = {}
         for summand in node.summands:
-            terms, f = self._eval(summand, bound)
-            frontier = _fmin(frontier, f)
+            term = _written_term(summand, ops)
+            if term is None:
+                terms, f = self._eval(summand, bound)
+                frontier = _fmin(frontier, f)
+            else:  # read in place; _collect drops a zero coefficient
+                terms = () if term[0] > bound else (term,)
             for g, c in terms:
                 merged[g] = add(merged[g], c) if g in merged else c
         return _collect(merged, frontier, ops)
@@ -567,6 +596,10 @@ class EvaluationContext:
         if isinstance(node, _LEAVES):
             return self._compute_vmin_bound(node)
         if node not in self._vmin_bounds:
+            ops = field_ops(node.field)
+            term = _written_term(node, ops)
+            if term is not None:
+                return None if ops.is_zero(term[1]) else term[0]
             self._vmin_bounds[node] = self._compute_vmin_bound(node)
         return self._vmin_bounds[node]
 

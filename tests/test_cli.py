@@ -164,6 +164,14 @@ def test_syntax_error_exit_code():
     assert "column 7" in err
 
 
+def test_large_prime_fields():
+    code, out, err = run_cli("eval", "1 + t^(1)", "--field", "F2305843009213693951")
+    assert (code, out, err) == (0, "1 + 1*t^(1)\n", "")
+    code, out, err = run_cli("eval", "2*t^(1)", "--field", f"F{(1 << 89) - 1}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {(1 << 89) - 1} is too large: primality is decided below")
+
+
 def test_rational_group_and_field_flags():
     code, out, _ = run_cli(
         "eval", "2/3*t^(5/2) + 1", "--group", "Q", "--field", "Q",

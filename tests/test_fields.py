@@ -5,10 +5,12 @@ import pytest
 
 from hahnseries.errors import DescriptorMismatch, UnorderedField
 from hahnseries.fields import (
+    PRIMALITY_LIMIT,
     QQ,
     FieldDescriptor,
     FieldElement,
     independent_coefficients,
+    is_prime,
     is_strictly_positive,
     poly_gcd,
     poly_mul,
@@ -33,6 +35,38 @@ def test_descriptor_validation():
     assert QQ.characteristic == 0
     assert F5.characteristic == 5
     assert F3X.characteristic == 3
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_20000():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n in range(-3, 20000) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 321197185,
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    3215031751, 3825123056546413051, 399165290221 * 798330580441,
+    (1 << 61) + 1, (1 << 61) - 3,
+])
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_large_prime_fields_are_built_and_too_large_ones_rejected():
+    for p in ((1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59):
+        assert is_prime(p)
+    F = prime_field((1 << 61) - 1)
+    assert F.element(2) * F.element(2).inverse() == F.one
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(ValueError, match="too large"):
+        prime_field((1 << 89) - 1)  # a Mersenne prime above the limit
+    assert not is_prime(PRIMALITY_LIMIT - 2)
 
 
 def test_inverse_examples():

@@ -7,6 +7,8 @@ from hahnseries.errors import ParseError
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, lex_product
 from hahnseries.parser import (
+    _line_column,
+    _token_starts,
     _tokenize,
     default_bound,
     parse_exponent_text,
@@ -78,9 +80,20 @@ def test_syntax_error_column():
     assert info.value.column == 5
 
 
+def _token_kind(tok):
+    # the parser tells a number by str.isdecimal and the end of input by ""
+    if not tok:
+        return "EOF"
+    if tok.isdecimal():
+        return "NUM"
+    return "NAME" if tok[0] == "_" or tok[0].isascii() and tok[0].isalpha() else "OP"
+
+
 def test_tokens_carry_their_line_and_column():
     text = "1 +\t t^(2)\n  * inv(x)\r\n- 3\u3000+ 4\n"
-    assert [tuple(t) for t in _tokenize(text)] == [
+    tokens, starts = _tokenize(text), _token_starts(text)
+    assert len(tokens) == len(starts)
+    assert [(_token_kind(t), t, *_line_column(text, s)) for t, s in zip(tokens, starts)] == [
         ("NUM", "1", 1, 1), ("OP", "+", 1, 3), ("NAME", "t", 1, 6), ("OP", "^", 1, 7),
         ("OP", "(", 1, 8), ("NUM", "2", 1, 9), ("OP", ")", 1, 10), ("OP", "*", 2, 3),
         ("NAME", "inv", 2, 5), ("OP", "(", 2, 8), ("NAME", "x", 2, 9), ("OP", ")", 2, 10),
