@@ -259,25 +259,14 @@ def subgroup_contains(generators: list[GroupElement], g: GroupElement) -> bool:
     kind = descriptor.kind
     if kind == TRIVIAL_KIND:
         return True
-    if kind == INTEGERS_KIND:
-        d = 0
-        for gen in generators:
-            d = gcd(d, gen.value)
-        if d == 0:
-            return g.value == 0
-        return g.value % d == 0
-    if kind == RATIONALS_KIND:
-        denoms = [gen.value.denominator for gen in generators] + [g.value.denominator]
-        scale = lcm(*denoms) if denoms else 1
+    if kind in (INTEGERS_KIND, RATIONALS_KIND):
+        # times the LCM of the denominators (an int's is 1), every value is an integer
+        scale = lcm(g.value.denominator, *[gen.value.denominator for gen in generators])
         d = 0
         for gen in generators:
             d = gcd(d, int(gen.value * scale))
-        scaled = g.value * scale
-        if scaled.denominator != 1:
-            return False
-        if d == 0:
-            return scaled == 0
-        return int(scaled) % d == 0
+        n = int(g.value * scale)
+        return n == 0 if d == 0 else n % d == 0
     rows = [list(gen.value) for gen in generators]
     return _lattice_contains(rows, list(g.value))
 

@@ -1,14 +1,14 @@
 """Recursive-descent parser for series expressions and descriptor text.
 
 The parser builds ``Series`` nodes directly, one node per grammar rule:
-a coefficient is ``Monomial(c, 0)``, ``t^(g)`` is ``Monomial(1, g)``,
-the terms of an ``expr`` make one ``Sum`` with a summand per term, a
-subtracted term being ``Neg`` of it (``a - b + c`` is
-``Sum(a, Neg(b), c)``), a leading ``-`` is ``Neg``, ``*`` is ``Product``,
-and ``inv`` and ``trunc`` are ``Inverse`` and ``Truncation``.  So a
-written term ``c*t^(g)`` is ``Product(Monomial(c, 0), Monomial(1, g))``
-and ``-c*t^(g)`` is a ``Neg`` of it; the evaluator reads such a term as
-a leaf, straight to its one term (see ``series._written_term``).
+the terms of an ``expr`` make one ``Sum`` with a summand per term, ``*``
+is ``Product``, ``inv`` and ``trunc`` are ``Inverse`` and
+``Truncation``, and a subtracted or negated term is ``Neg`` of it.  A
+written term is one ``Monomial``: a coefficient, ``t^(g)``, and a run of
+such factors of which all but one have exponent 0 (``c*t^(g)``,
+``t^(g)*c``, ``2*3``), negated in its coefficient, so ``a - c*t^(g)`` is
+``Sum(a, Monomial(-c, g))``.  Two factors with nonzero exponents stay a
+``Product``.
 
 A token is kept as its text alone; its line and column are found again
 from the input only when a ``ParseError`` reports them.  Exponents and
@@ -126,25 +126,39 @@ class _Parser:
         return node
 
     def expr(self) -> Series:
-        if self.at("-"):
+        negate = self.at("-")
+        if negate:
             self.advance()
-            summands: list[Series] = [Neg(self.term())]
-        else:
-            summands = [self.term()]
+        summands = [self.term(negate)]
         while self.peek() in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            summands.append(rhs if op == "+" else Neg(rhs))
+            summands.append(self.term(self.advance() == "-"))
         return Sum(*summands) if len(summands) > 1 else summands[0]
 
-    def term(self) -> Series:
+    def term(self, negate: bool = False) -> Series:
+        """A term, negated when asked.  Its leading written factors fold
+        while one of each two has exponent 0, and their Monomial is built
+        once, when the term ends."""
         node = self.factor()
+        zero = self.zero.value
         while self.at("*"):
             self.advance()
-            node = Product(node, self.factor())
-        return node
+            right = self.factor()
+            if type(node) is tuple and type(right) is tuple and (
+                    node[1].value == zero or right[1].value == zero):
+                (a, g), (b, h) = node, right
+                # the one of t^(g) is shared by the parse, so never multiplied
+                c = b if a is self.one else a if b is self.one else a * b
+                node = c, h if g.value == zero else g
+            else:
+                node = Product(_node(node), _node(right))
+        if type(node) is tuple:
+            c, g = node
+            return Monomial(-c if negate else c, g)
+        return Neg(node) if negate else node
 
-    def factor(self) -> Series:
+    def factor(self) -> Series | tuple[FieldElement, GroupElement]:
+        """A factor; a written one, a coefficient or ``t^(g)``, as its
+        (coefficient, exponent) pair."""
         tok = self.peek()
         if tok == "t":
             self.advance()
@@ -152,7 +166,7 @@ class _Parser:
             self.expect("(")
             g = self.exponent()
             self.expect(")")
-            return Monomial(self.one, g)
+            return self.one, g
         if tok == "inv":
             self.advance()
             self.expect("(")
@@ -177,17 +191,17 @@ class _Parser:
             if self.field.kind == "Fp(x)":
                 mark = self.i
                 try:
-                    return Monomial(self.ratfunc(), self.zero)
+                    return self.ratfunc(), self.zero
                 except ParseError:
                     self.i = mark
             self.advance()
             node = self.expr()
             self.expect(")")
-            return node
+            return (node.coefficient, node.exponent) if isinstance(node, Monomial) else node
         if tok == "O" and self.tokens[self.i + 1] == "(":
             self.error("O(...) marks terms a truncated result left unlisted;"
                        " it is not a series and cannot be read back")
-        return Monomial(self.coefficient(), self.zero)
+        return self.coefficient(), self.zero
 
     # -- exponents ---------------------------------------------------------
 
@@ -318,6 +332,10 @@ class _Parser:
         self.error(f"expected a polynomial term, found {tok or 'end of input'!r}")
 
 
+def _node(factor) -> Series:
+    return Monomial(*factor) if type(factor) is tuple else factor
+
+
 def parse_expression(text: str, group: GroupDescriptor,
                      fld: FieldDescriptor) -> Series:
     return _Parser(text, group, fld).parse()
@@ -338,9 +356,8 @@ def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
 
 def render_expression(node: Series) -> str:
     """Expression text for a node tree.  A tree the parser built reparses
-    to the same tree; a monomial c*t^(g) the library built, or one with a
-    negative coefficient, reparses to the same value.  Raises TypeError
-    for nodes the grammar cannot write."""
+    to the same tree, and any other tree to the same value.  Raises
+    TypeError for nodes the grammar cannot write."""
     if isinstance(node, Monomial):
         sign, body = _monomial_text(node)
         return sign + body
@@ -351,8 +368,11 @@ def render_expression(node: Series) -> str:
             f" {sign} {body}" for sign, body in map(_summand_text, rest)
         )
     if isinstance(node, Product):
-        right = _wrap_additive(node.right)
-        if isinstance(node.right, Product):
+        # the right operand must read back as one factor, so a sum, a
+        # product, a signed text and a monomial c*t^(g) are parenthesised
+        right = render_expression(node.right)
+        if (isinstance(node.right, (Sum, Product)) or right.startswith("-")
+                or isinstance(node.right, Monomial) and "*t^(" in right):
             right = f"({right})"
         return f"{_wrap_additive(node.left)}*{right}"
     if isinstance(node, Neg):

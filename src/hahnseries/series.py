@@ -186,14 +186,17 @@ class Series:
 
 
 class Monomial(Series):
-    """c * t^g, the coefficient-scaled characteristic function of g."""
+    """c * t^g, the coefficient-scaled characteristic function of g.
+    ``raw_terms`` holds its one raw term, or none when c is zero."""
 
-    __slots__ = ("coefficient", "exponent")
+    __slots__ = ("coefficient", "exponent", "raw_terms")
 
     def __init__(self, coefficient: FieldElement, exponent: GroupElement):
         super().__init__(exponent.descriptor, coefficient.descriptor)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "raw_terms", () if coefficient.is_zero
+                           else ((exponent.value, coefficient.value),))
 
 
 class Literal(Series):
@@ -441,35 +444,9 @@ def _kronecker_product(a, b, top, p):
     return tuple(terms)
 
 
-# A leaf holds its own terms, so evaluating one again costs no more than
-# a memo hit: leaves are not memoised.  A written term is a leaf too: a
-# Monomial, a Product of two Monomials, or a Neg of either, the shapes the
-# parser builds for ``c*t^(g)`` and ``-c*t^(g)``.  It evaluates straight
-# to its one term, with no memo entry, no vmin bound and no operand
-# bookkeeping: a sum merges it in place, and ``_eval`` and ``_vmin_bound``
-# test for its shape only after a memo miss, so a memo hit costs what it
-# did.
+# A leaf, a Monomial or a Literal, holds its raw terms, so evaluating one
+# again costs no more than a memo hit: leaves are not memoised.
 _LEAVES = (Monomial, Literal)
-
-
-def _written_term(node: Series, ops):
-    """The raw (exponent, coefficient) of a written term, the coefficient
-    possibly zero, or None when the node is not a written term.  ``ops``
-    is the node's field arithmetic.  Looks at the node and its children
-    only, so a chain of products costs one test per node."""
-    negated = isinstance(node, Neg)
-    if negated:
-        node = node.child
-    if isinstance(node, Monomial):
-        g, c = node.exponent.value, node.coefficient.value
-    elif (isinstance(node, Product) and isinstance(node.left, Monomial)
-          and isinstance(node.right, Monomial)):
-        a, b = node.left, node.right
-        g = group_ops(node.group)[0](a.exponent.value, b.exponent.value)
-        c = ops.mul(a.coefficient.value, b.coefficient.value)
-    else:
-        return None
-    return g, ops.neg(c) if negated else c
 
 
 def _box_terms(node: Series, terms) -> tuple:
@@ -526,15 +503,11 @@ class EvaluationContext:
     # -- evaluation core --------------------------------------------------
 
     def _eval(self, node: Series, bound):
-        if isinstance(node, Literal):
+        if isinstance(node, _LEAVES):
             return self._cap((_prefix(node.raw_terms, bound), None))
         hit = self._complete_cache.get(node)
         if hit is not None and not bound > hit[0]:
             return _prefix(hit[1], bound), None
-        ops = field_ops(node.field)
-        term = _written_term(node, ops)
-        if term is not None:
-            return (() if term[0] > bound or ops.is_zero(term[1]) else (term,)), None
         exact = self._exact_cache.get((node, bound))
         if exact is not None:
             return exact
@@ -579,12 +552,11 @@ class EvaluationContext:
         frontier = None
         merged = {}
         for summand in node.summands:
-            term = _written_term(summand, ops)
-            if term is None:
+            if isinstance(summand, Monomial):  # read in place
+                terms = _prefix(summand.raw_terms, bound)
+            else:
                 terms, f = self._eval(summand, bound)
                 frontier = _fmin(frontier, f)
-            else:  # read in place; _collect drops a zero coefficient
-                terms = () if term[0] > bound else (term,)
             for g, c in terms:
                 merged[g] = add(merged[g], c) if g in merged else c
         return _collect(merged, frontier, ops)
@@ -596,18 +568,12 @@ class EvaluationContext:
         if isinstance(node, _LEAVES):
             return self._compute_vmin_bound(node)
         if node not in self._vmin_bounds:
-            ops = field_ops(node.field)
-            term = _written_term(node, ops)
-            if term is not None:
-                return None if ops.is_zero(term[1]) else term[0]
             self._vmin_bounds[node] = self._compute_vmin_bound(node)
         return self._vmin_bounds[node]
 
     def _compute_vmin_bound(self, node: Series):
-        if isinstance(node, Monomial):
-            return None if node.coefficient.is_zero else node.exponent.value
-        if isinstance(node, Literal):
-            return node.terms[0][0].value if node.terms else None
+        if isinstance(node, _LEAVES):
+            return node.raw_terms[0][0] if node.raw_terms else None
         if isinstance(node, (Neg, Truncation)):
             return self._vmin_bound(node.child)
         if isinstance(node, Sum):
@@ -694,9 +660,9 @@ class EvaluationContext:
                 )
         g0 = box_exponent(node.group, terms[0][0])
         lead = box_coefficient(node.field, terms[0][1])
-        neg_inv_lead = (-lead).inverse()
-        tail = Sum(child, Neg(Monomial(lead, g0)))
-        epsilon = Product(Monomial(neg_inv_lead, -g0), tail)
+        neg_lead = -lead
+        tail = Sum(child, Monomial(neg_lead, g0))
+        epsilon = Product(Monomial(neg_lead.inverse(), -g0), tail)
         expansion = Product(Monomial(lead.inverse(), -g0), GeometricTail(epsilon))
         fact = InversionFactorization(g0, lead, epsilon)
         self._inversions[node] = (fact, expansion)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hahnseries.errors import ParseError
+from hahnseries.errors import HahnSeriesError, ParseError
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, lex_product
 from hahnseries.parser import (
@@ -40,8 +40,11 @@ def parse_q(text):
     return parse_expression(text, INTEGERS, QQ)
 
 
-def is_sub(node):
-    return isinstance(node, Sum) and isinstance(node.summands[-1], Neg)
+def written_terms(node):
+    """The (coefficient, exponent) values of a sum's summands, each of
+    which must be one Monomial."""
+    assert all(isinstance(x, Monomial) for x in node.summands)
+    return [(x.coefficient.value, x.exponent.value) for x in node.summands]
 
 
 def shape(node):
@@ -60,7 +63,7 @@ def shape(node):
 def test_inverse_with_sum():
     s = parse_q("inv(1 - t^(1) - t^(2))")
     assert isinstance(s, Inverse)
-    assert is_sub(s.child)
+    assert written_terms(s.child) == [(1, 0), (-1, 1), (-1, 2)]
     assert s.witness is None
 
 
@@ -161,14 +164,14 @@ def test_paren_disambiguation():
     assert isinstance(s, Product)
     # coefficient when it is
     s = parse_expression("(x+1)*t^(1)", INTEGERS, F3X)
-    assert isinstance(s, Product)
-    assert isinstance(s.left, Monomial) and s.left.exponent.is_zero
+    assert isinstance(s, Monomial)
+    assert (s.coefficient, s.exponent) == (F3X.element(((1, 1), (1,))), INTEGERS.element(1))
 
 
 def test_a_written_sum_is_one_flat_node():
     s = parse_q("1 - t^(1) + 2*t^(2) - t^(3)")
     assert isinstance(s, Sum)
-    assert [type(x).__name__ for x in s.summands] == ["Monomial", "Neg", "Product", "Neg"]
+    assert written_terms(s) == [(1, 0), (-1, 1), (2, 2), (-1, 3)]
     assert not hasattr(s, "left") and not hasattr(s, "right")
     # a parenthesised sum stays one summand, and renders with its parentheses
     s = parse_q("(1 + t^(1)) + t^(2)")
@@ -178,8 +181,37 @@ def test_a_written_sum_is_one_flat_node():
 
 def test_unary_minus():
     s = parse_q("-t^(1) + 1")
-    assert isinstance(s, Sum) and not is_sub(s)
-    assert isinstance(s.summands[0], Neg)
+    assert isinstance(s, Sum)
+    assert written_terms(s) == [(-1, 1), (1, 0)]
+    # a negated term that is not one Monomial stays a Neg
+    s = parse_q("-(1 + t^(1)) - t^(1)*t^(2)")
+    assert isinstance(s.summands[0], Neg) and isinstance(s.summands[0].child, Sum)
+    assert isinstance(s.summands[1], Neg) and isinstance(s.summands[1].child, Product)
+
+
+@pytest.mark.parametrize("fld", [QQ, prime_field(7), F3X], ids=str)
+def test_a_written_term_folds_into_one_monomial(fld):
+    one = fld.one
+    two = one + one
+    for text, c, g in (
+        ("2*t^(3)", two, 3),
+        ("t^(3)*2", two, 3),
+        ("-2*t^(3)", -two, 3),
+        ("-(2*t^(3))", -two, 3),
+        ("0*t^(3)", fld.zero, 3),
+        ("2*3", two * (two + one), 0),
+        ("1 - 2*t^(3)", -two, 3),
+    ):
+        s = parse_expression(text, INTEGERS, fld)
+        if isinstance(s, Sum):
+            s = s.summands[1]
+        assert isinstance(s, Monomial), text
+        assert (s.coefficient, s.exponent) == (c, INTEGERS.element(g)), text
+    # two factors with nonzero exponents stay a product
+    s = parse_expression("t^(7)*t^(2)", INTEGERS, fld)
+    assert isinstance(s, Product)
+    assert isinstance(s.left, Monomial) and isinstance(s.right, Monomial)
+    assert default_bound(s) == INTEGERS.element(7)
 
 
 def test_render_roundtrip_examples():
@@ -216,12 +248,24 @@ def _random_series(rng, depth=0):
     return Truncation(child, INTEGERS.element(rng.randint(-5, 5)))
 
 
+def _outcome(s, h):
+    try:
+        return coefficients_up_to(s, h)
+    except HahnSeriesError as e:
+        return type(e)
+
+
 def test_render_roundtrip_random():
+    # a library tree reparses to the same coefficients (the parser folds
+    # its written terms), and a parsed tree to the same shape
     rng = random.Random(20240817)
+    h = Horizon(INTEGERS.element(6))
     for _ in range(300):
         s = _random_series(rng)
         text = render_expression(s)
-        assert shape(parse_q(text)) == shape(s), text
+        parsed = parse_q(text)
+        assert _outcome(parsed, h) == _outcome(s, h), text
+        assert shape(parse_q(render_expression(parsed))) == shape(parsed), text
 
 
 def test_render_rejects_nodes_the_grammar_cannot_write():
@@ -274,9 +318,12 @@ def test_default_bound_of_a_deep_sum():
 def test_render_of_a_deep_sum_reparses():
     text = " + ".join(f"{k % 7 + 1}*t^({k})" for k in range(1, 2500))
     text += "".join(f" - {k % 5 + 1}*t^({k})" for k in range(2500, 5000))
+    # a written 1*t^(g) parses to the Monomial t^(g) and renders so
+    expected = text.replace(" 1*t^(", " t^(")
+    assert expected != text
     rendered = render_expression(parse_q(text))
-    assert rendered == text
-    assert render_expression(parse_q(rendered)) == text
+    assert rendered == expected
+    assert render_expression(parse_q(rendered)) == expected
 
 
 def test_ratfunc_text_reparses_to_the_same_terms():

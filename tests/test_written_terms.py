@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from hahnseries.cli import main
-from hahnseries.fields import QQ
+from hahnseries.fields import QQ, rational_functions
 from hahnseries.groups import INTEGERS
 from hahnseries.parser import default_bound, parse_expression
-from hahnseries.series import EvaluationContext, Horizon, Neg, Product, Sum
+from hahnseries.series import EvaluationContext, Horizon, Monomial, Sum
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_written_terms.json").read_text())
 
@@ -38,7 +38,7 @@ def _written_sum(n):
 def test_a_written_sum_leaves_one_memo_entry_and_no_vmin_bounds():
     s = parse_expression(_written_sum(100), INTEGERS, QQ)
     assert isinstance(s, Sum) and len(s.summands) == 100
-    assert isinstance(s.summands[0], Product) and isinstance(s.summands[1], Neg)
+    assert all(isinstance(x, Monomial) for x in s.summands)
     ctx = EvaluationContext(Horizon(default_bound(s)))
     tl = ctx.coefficients(s)
     assert [(int(str(g)), str(c)) for g, c in tl.terms] == [
@@ -54,3 +54,14 @@ def test_a_product_of_written_sums_keeps_bounds_only_for_the_sums():
     ctx.coefficients(s)
     assert set(ctx._complete_cache) == {s, s.left, s.right}
     assert set(ctx._vmin_bounds) == {s.left, s.right}
+
+
+def test_a_written_sum_over_rational_functions_leaves_no_vmin_bounds():
+    text = " + ".join(f"(x^{k}+{k % 2 + 1})*t^({k})" for k in range(20)) + " - x*t^(3)"
+    s = parse_expression(text, INTEGERS, rational_functions(3))
+    assert all(isinstance(x, Monomial) for x in s.summands)
+    ctx = EvaluationContext(Horizon(default_bound(s)))
+    tl = ctx.coefficients(s)
+    assert len(tl.terms) == 20 and str(tl.coefficient_at(INTEGERS.element(3))) == "x^3+2*x+2"
+    assert list(ctx._complete_cache) == [s]
+    assert not ctx._vmin_bounds and not ctx._exact_cache
