@@ -7,6 +7,8 @@ reads; a flag a subcommand does not read is a usage error.  Exit codes:
 exceeded, membership undecided within budget, or an expression nesting
 too deeply to parse or evaluate.  Errors go to stderr.  Repeated runs
 print the same bytes; for ``suite``, runs with the same ``--seed`` do.
+Expressions, exponents and family descriptors are all read by
+``parser``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,8 @@ from .errors import (
     ZeroUpToHorizon,
 )
 from .fields import FieldDescriptor, prime_field, rational_functions
-from .groups import (
-    GroupDescriptor,
-    GroupElement,
-    INTEGERS,
-    RATIONALS,
-    TRIVIAL,
-    lex_product,
-)
-from .parser import default_bound, parse_expression, parse_exponent_text
+from .groups import INTEGERS, RATIONALS, TRIVIAL, GroupDescriptor, lex_product
+from .parser import default_bound, parse_expression, parse_exponent_text, parse_family_text
 from .series import (
     DEFAULT_TERM_BOUND,
     EvaluationContext,
@@ -44,19 +39,6 @@ from .series import (
     Truncation,
     render_terms,
     terms_to_json,
-)
-from .supports import (
-    Family,
-    Region,
-    explicit_family,
-    finite_region,
-    finite_subsets_family,
-    nonneg_cone,
-    pos_cone,
-    submonoid,
-    subgroup,
-    well_ordered_family,
-    whole_group,
 )
 from .verify import run_suite
 
@@ -95,82 +77,6 @@ def parse_field_name(text: str) -> FieldDescriptor:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown field {text!r} (expected Q, Fp or Fp(x))")
-
-
-_WHOLE_NAMES = ("Z", "Q", "G")
-
-
-def _parse_region(text: str, group: GroupDescriptor) -> Region:
-    text = text.strip()
-    m = re.fullmatch(r"(mon|grp|set)\{(.*)\}", text)
-    if m:
-        kind, body = m.group(1), m.group(2)
-        elems = []
-        if body.strip():
-            elems = [parse_exponent_text(e, group) for e in _split_top(body)]
-        if kind == "mon":
-            return submonoid(group, elems)
-        if kind == "grp":
-            return subgroup(group, elems)
-        return finite_region(group, elems)
-    base = text
-    suffix = None
-    for s in (">=0", ">0"):
-        if text.endswith(s):
-            base, suffix = text[: -len(s)], s
-            break
-    if base in _WHOLE_NAMES or base == str(group):
-        if suffix == ">=0":
-            return nonneg_cone(group)
-        if suffix == ">0":
-            return pos_cone(group)
-        return whole_group(group)
-    raise ParseError(f"unknown region {text!r}")
-
-
-def _split_top(body: str) -> list[str]:
-    """Split on commas not nested in parentheses or braces."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def parse_family_text(text: str, group: GroupDescriptor) -> Family:
-    text = text.strip()
-    m = re.fullmatch(r"W\((.*)\)", text)
-    if m:
-        return well_ordered_family(_parse_region(m.group(1), group))
-    m = re.fullmatch(r"FIN\((.*)\)", text)
-    if m:
-        return finite_subsets_family(_parse_region(m.group(1), group))
-    m = re.fullmatch(r"explicit\{(.*)\}", text)
-    if m:
-        members = []
-        points: dict[str, GroupElement] = {}  # each distinct point text is parsed once
-        for part in _split_top(m.group(1)):
-            inner = part.strip()
-            if not (inner.startswith("{") and inner.endswith("}")):
-                raise ParseError(f"explicit member {part!r} must be braced")
-            body = inner[1:-1].strip()
-            texts = _split_top(body) if body else []
-            points.update((e, parse_exponent_text(e, group)) for e in texts if e not in points)
-            members.append([points[e] for e in texts])
-        return explicit_family(group, members)
-    raise ParseError(
-        f"unknown family {text!r} (expected W(...), FIN(...) or explicit{{...}})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .groups import (
     GroupElement,
+    box_exponent,
     generates_whole_group,
     group_zero,
     raw_ops,
@@ -128,10 +129,7 @@ def _region_facts(region: Region, budget: SearchBudget):
         return (False, zero), _refuted_by(unit), unit
     if kind == FINITE:
         elements = region.elements
-        probe = [zero]
-        if unit is not None:
-            for k in range(1, len(elements) + 2):
-                probe.extend([unit.scale(k), -unit.scale(k)])
+        probe = (box_exponent(group, v) for v in _probe_values(group, len(elements) + 1))
         return (
             _refuted_by(next((g for g in probe if g not in elements), None)),
             _refuted_by(next((e for e in elements if -e not in elements), None)),

@@ -246,6 +246,17 @@ def _lattice_contains(rows: list[list[int]], target: list[int]) -> bool:
     return not any(v)
 
 
+def _cyclic_generator(generators: list[GroupElement]) -> tuple[int, int]:
+    """(d, L) with the subgroup of Z or Q the elements generate equal to
+    (d/L)Z: L is the LCM of their denominators (an int's is 1) and d the
+    GCD of the integers they become times L."""
+    scale = lcm(*[gen.value.denominator for gen in generators])
+    d = 0
+    for gen in generators:
+        d = gcd(d, int(gen.value * scale))
+    return d, scale
+
+
 def subgroup_contains(generators: list[GroupElement], g: GroupElement) -> bool:
     """Membership of g in the subgroup generated by the given elements.
 
@@ -260,13 +271,10 @@ def subgroup_contains(generators: list[GroupElement], g: GroupElement) -> bool:
     if kind == TRIVIAL_KIND:
         return True
     if kind in (INTEGERS_KIND, RATIONALS_KIND):
-        # times the LCM of the denominators (an int's is 1), every value is an integer
-        scale = lcm(g.value.denominator, *[gen.value.denominator for gen in generators])
-        d = 0
-        for gen in generators:
-            d = gcd(d, int(gen.value * scale))
-        n = int(g.value * scale)
-        return n == 0 if d == 0 else n % d == 0
+        # g is in (d/L)Z exactly when g*L/d is an integer
+        d, scale = _cyclic_generator(generators)
+        n = g.value.numerator * scale
+        return n == 0 if d == 0 else n % (d * g.value.denominator) == 0
     rows = [list(gen.value) for gen in generators]
     return _lattice_contains(rows, list(g.value))
 
@@ -289,16 +297,9 @@ def generates_whole_group(generators: list[GroupElement],
             return True, None
         return False, one
     if kind == RATIONALS_KIND:
-        nonzero = [gen for gen in generators if not gen.is_zero]
-        if not nonzero:
-            return False, descriptor.element(1)
-        # the subgroup is (d/L)Z; half of a generator of it lies outside
-        denoms = [gen.value.denominator for gen in nonzero]
-        scale = lcm(*denoms)
-        d = 0
-        for gen in nonzero:
-            d = gcd(d, int(gen.value * scale))
-        return False, descriptor.element(Fraction(d, 2 * scale))
+        # the subgroup is (d/L)Z; half of its generator lies outside, and 1 outside {0}
+        d, scale = _cyclic_generator(generators)
+        return False, descriptor.element(Fraction(d, 2 * scale) if d else 1)
     for i in range(descriptor.rank):
         unit = descriptor.element(tuple(int(i == j) for j in range(descriptor.rank)))
         if not subgroup_contains(generators, unit):

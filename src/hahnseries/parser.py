@@ -1,4 +1,4 @@
-"""Recursive-descent parser for series expressions and descriptor text.
+"""Recursive-descent parser for series expressions and family descriptors.
 
 The parser builds ``Series`` nodes directly, one node per grammar rule:
 the terms of an ``expr`` make one ``Sum`` with a summand per term, ``*``
@@ -26,6 +26,18 @@ Grammar (exponents always parenthesised to keep lookahead trivial):
               | coefficient
     exponent := integer | rational | '(' int (',' int)* ')'   per group
 
+    family   := ('W'|'FIN') '(' region ')'
+              | 'explicit' '{' [points (',' points)*] '}'
+    region   := ('mon'|'grp'|'set') points | NAME ['>' ['='] '0']
+    points   := '{' [exponent (',' exponent)*] '}'
+
+A region's NAME is the whole group, written ``G`` or as the group itself
+prints (``Z``, ``Q``, ``Z^n``, ``trivial``); ``>=0`` and ``>0`` make it
+the nonnegative or the positive cone.  Every comma-separated list in
+braces, and the coordinates of a ``Z^n`` exponent, are read by one rule.
+Whitespace separates the tokens of a descriptor as it does in an
+expression, and an error's line and column point into the descriptor.
+
 Coefficient literals follow the field: ``2/3`` and ``4`` for Q and F_p,
 polynomial fractions like ``(x^2+1)/x`` for F_p(x); for the latter a
 parenthesis is tried as a coefficient first and reparsed as a grouped
@@ -45,6 +57,10 @@ from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
 from .groups import raw_ops as group_ops
 from .series import (
     Inverse, Monomial, Neg, Product, Series, Sum, Truncation, children, coefficient_text,
+)
+from .supports import (
+    Family, Region, explicit_family, finite_region, finite_subsets_family, nonneg_cone,
+    pos_cone, submonoid, subgroup, well_ordered_family, whole_group,
 )
 
 
@@ -116,14 +132,28 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.tokens[self.i] == text
 
-    # -- expression grammar ----------------------------------------------
+    def listed(self, opening: str, closing: str, item) -> list:
+        """The items read by ``item`` between the brackets, comma
+        separated; there may be none."""
+        self.expect(opening)
+        items = []
+        if not self.at(closing):
+            items.append(item())
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                items.append(item())
+        self.expect(closing)
+        return items
 
-    def parse(self) -> Series:
-        node = self.expr()
+    def ended(self, node, what: str):
+        """The node read from the whole input; a token after it is an
+        error."""
         tok = self.peek()
         if tok:
-            self.error(f"unexpected {tok!r} after expression")
+            self.error(f"unexpected {tok!r} after {what}")
         return node
+
+    # -- expression grammar ----------------------------------------------
 
     def expr(self) -> Series:
         negate = self.at("-")
@@ -206,26 +236,20 @@ class _Parser:
     # -- exponents ---------------------------------------------------------
 
     def signed_int(self) -> int:
-        negative = False
-        if self.at("-"):
-            self.advance()
-            negative = True
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        negative = tok == "-"
+        if negative:
+            self.i += 1
+            tok = self.tokens[self.i]
         if not tok.isdecimal():
             self.error("expected an integer")
-        self.advance()
-        value = int(tok)
-        return -value if negative else value
+        self.i += 1
+        return -int(tok) if negative else int(tok)
 
     def exponent(self) -> GroupElement:
         kind = self.group.kind
         if kind == "Z^n":
-            self.expect("(")
-            coords = [self.signed_int()]
-            while self.at(","):
-                self.advance()
-                coords.append(self.signed_int())
-            self.expect(")")
+            coords = self.listed("(", ")", self.signed_int)
             if len(coords) != self.group.rank:
                 self.error(f"expected {self.group.rank} coordinates")
             return box_exponent(self.group, tuple(coords))
@@ -245,6 +269,45 @@ class _Parser:
                 return box_exponent(self.group, Fraction(n, d))
             return box_exponent(self.group, Fraction(n))
         return box_exponent(self.group, n)
+
+    # -- family descriptors -------------------------------------------------
+
+    def family(self) -> Family:
+        tok = self.peek()
+        if tok in ("W", "FIN"):
+            self.advance()
+            self.expect("(")
+            region = self.region()
+            self.expect(")")
+            return (well_ordered_family if tok == "W" else finite_subsets_family)(region)
+        if tok == "explicit":
+            self.advance()
+            return explicit_family(self.group, self.listed("{", "}", self.points))
+        self.error(f"unknown family {tok or 'end of input'!r}"
+                   " (expected W(...), FIN(...) or explicit{...})")
+
+    def region(self) -> Region:
+        tok = self.peek()
+        if tok in _GENERATED_REGIONS:
+            self.advance()
+            return _GENERATED_REGIONS[tok](self.group, self.points())
+        name = tok
+        if tok == "Z" and self.tokens[self.i + 1] == "^":  # Z^n is three tokens
+            name = "".join(self.tokens[self.i:self.i + 3])
+        if name not in ("G", str(self.group)):
+            self.error(f"unknown region {name or 'end of input'!r}")
+        self.i += 3 if name != tok else 1
+        if not self.at(">"):
+            return whole_group(self.group)
+        self.advance()
+        nonneg = self.at("=")
+        if nonneg:
+            self.advance()
+        self.expect("0")
+        return (nonneg_cone if nonneg else pos_cone)(self.group)
+
+    def points(self) -> list[GroupElement]:
+        return self.listed("{", "}", self.exponent)
 
     # -- coefficients -------------------------------------------------------
 
@@ -332,13 +395,17 @@ class _Parser:
         self.error(f"expected a polynomial term, found {tok or 'end of input'!r}")
 
 
+_GENERATED_REGIONS = {"mon": submonoid, "grp": subgroup, "set": finite_region}
+
+
 def _node(factor) -> Series:
     return Monomial(*factor) if type(factor) is tuple else factor
 
 
 def parse_expression(text: str, group: GroupDescriptor,
                      fld: FieldDescriptor) -> Series:
-    return _Parser(text, group, fld).parse()
+    p = _Parser(text, group, fld)
+    return p.ended(p.expr(), "expression")
 
 
 def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
@@ -349,6 +416,9 @@ def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
     return g
 
 
+def parse_family_text(text: str, group: GroupDescriptor) -> Family:
+    p = _Parser(text, group, QQ)
+    return p.ended(p.family(), "family")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +426,10 @@ def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
 
 def render_expression(node: Series) -> str:
     """Expression text for a node tree.  A tree the parser built reparses
-    to the same tree, and any other tree to the same value.  Raises
-    TypeError for nodes the grammar cannot write."""
+    to the same tree, but for one case: over F_p(x) a parenthesised sum of
+    coefficient-only terms, as in ``((1) + x)*t^(1)``, reads back as one
+    coefficient of the same value.  Any other tree reparses to the same
+    value.  Raises TypeError for nodes the grammar cannot write."""
     if isinstance(node, Monomial):
         sign, body = _monomial_text(node)
         return sign + body

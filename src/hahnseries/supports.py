@@ -360,7 +360,7 @@ class Family:
             raw = []
             for m in self.members:
                 for p in m:
-                    if p.descriptor != self.group:
+                    if p.descriptor is not self.group and p.descriptor != self.group:
                         raise DescriptorMismatch("member point uses a different group")
                 raw.append(tuple(p.value for p in m))
             object.__setattr__(self, "raw_members", tuple(raw))
@@ -398,7 +398,8 @@ def explicit_family(group: GroupDescriptor, members) -> Family:
     for m in members:
         values = set()
         for p in m:
-            if p.descriptor != group:
+            # the parser's points share the group object, so identity decides fast
+            if p.descriptor is not group and p.descriptor != group:
                 raise DescriptorMismatch("member point uses a different group")
             boxed.setdefault(p.value, p)
             values.add(p.value)

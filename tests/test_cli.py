@@ -302,14 +302,14 @@ def test_repeated_main_calls_match_single_calls():
 
 
 def test_malformed_family_point_keeps_its_parse_error():
-    # points repeat before the bad one; each text is parsed once, and the
-    # first malformed point still decides the error
+    # points repeat before the bad one; the first malformed point decides
+    # the error, and its column counts from the start of the descriptor
     code, out, err = run_cli("check-family", "explicit{{0,1},{1,2},{1,x}}", "--condition", "S2")
-    assert (code, out, err) == (2, "", "error: expected an integer (line 1, column 1)\n")
+    assert (code, out, err) == (2, "", "error: expected an integer (line 1, column 25)\n")
     code, out, err = run_cli(
         "check-family", "explicit{{(0,1)},{(0,1),(1,2,3)}}", "--group", "Z^2", "--condition", "S2",
     )
-    assert (code, out, err) == (2, "", "error: expected 2 coordinates (line 1, column 8)\n")
+    assert (code, out, err) == (2, "", "error: expected 2 coordinates (line 1, column 32)\n")
 
 
 def test_ratfunc_text_output_reparses():

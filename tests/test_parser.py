@@ -227,6 +227,20 @@ def test_render_roundtrip_examples():
         assert shape(parse_q(render_expression(s))) == shape(s)
 
 
+def test_a_parenthesised_coefficient_sum_reparses_as_one_coefficient():
+    # the one parsed shape that does not re-render to itself: over F_3(x)
+    # the sum (1) + x renders bare, and then reads as one coefficient
+    s = parse_expression("((1) + x)*t^(1)", INTEGERS, F3X)
+    assert isinstance(s, Product) and isinstance(s.left, Sum)
+    text = render_expression(s)
+    assert text == "(1 + x)*t^(1)"
+    again = parse_expression(text, INTEGERS, F3X)
+    assert isinstance(again, Monomial)
+    assert (again.coefficient, again.exponent) == (F3X.element(((1, 1), (1,))), INTEGERS.element(1))
+    h = Horizon(INTEGERS.element(2))
+    assert coefficients_up_to(again, h) == coefficients_up_to(s, h)
+
+
 def _random_series(rng, depth=0):
     if depth >= 3 or rng.random() < 0.4:
         if rng.random() < 0.5:

@@ -455,3 +455,24 @@ def test_vmin_bound_computed_once_per_node_of_a_shared_dag():
         n * (n - 1) * (n - 2) * (n - 3) // 24,
         n * (n - 1) * (n - 2) * (n - 3) * (n - 4) // 120,
     ]
+
+
+def test_a_truncated_result_is_expanded_once_per_node():
+    # each square is truncated by the term bound, so only the exact cache
+    # keeps the shared child from being expanded once per path: 2^16 paths
+    s = one_series(INTEGERS, QQ) + monomial(QQ.one, INTEGERS.element(1))
+    for _ in range(16):
+        s = s * s
+    ctx = EvaluationContext(Horizon(INTEGERS.element(40), term_bound=5))
+    expanded = []
+    expand = ctx._expand_product
+
+    def counting(node, bound):
+        expanded.append(node)
+        return expand(node, bound)
+
+    ctx._expand_product = counting
+    tl = ctx.coefficients(s)
+    assert len(expanded) == len(set(map(id, expanded))) == 16
+    assert not tl.complete
+    assert render_terms(tl).endswith(" + O(t^(5))")
