@@ -19,11 +19,13 @@ Grammar (exponents always parenthesised to keep lookahead trivial):
 
     expr     := ['-'] term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := 't' '^' '(' exponent ')'
+    factor   := atom ['/' atom]              both atoms coefficients
+    atom     := 't' '^' '(' exponent ')'
               | 'inv' '(' expr (';' 'g0' '=' exponent)? ')'
               | 'trunc' '(' expr ',' exponent ')'
               | '(' expr ')'
-              | coefficient
+              | 'x' ['^' natural]            over F_p(x) only
+              | natural
     exponent := integer | rational | '(' int (',' int)* ')'   per group
 
     family   := ('W'|'FIN') '(' region ')'
@@ -38,10 +40,14 @@ braces, and the coordinates of a ``Z^n`` exponent, are read by one rule.
 Whitespace separates the tokens of a descriptor as it does in an
 expression, and an error's line and column point into the descriptor.
 
-Coefficient literals follow the field: ``2/3`` and ``4`` for Q and F_p,
-polynomial fractions like ``(x^2+1)/x`` for F_p(x); for the latter a
-parenthesis is tried as a coefficient first and reparsed as a grouped
-subexpression when that fails.
+A coefficient is a factor of exponent 0, read with the same rules in
+every field: a natural number taken in the field, ``x`` or ``x^n`` over
+F_p(x), a quotient of two coefficient atoms, and a parenthesised
+expression whose summands are all coefficients, which folds into one
+coefficient with the field's ``+``.  ``/`` binds tighter than ``*``, so
+``2/3*t^(1)`` and ``x^2/x*t^(1)`` are written terms, and ``t^(1)/2`` is
+an error at the ``/``.  An error inside a coefficient, such as a zero
+divisor, reports its own position.
 """
 
 from __future__ import annotations
@@ -50,9 +56,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .fields import (
-    QQ, FieldDescriptor, FieldElement, box_coefficient, poly_add, poly_mul, poly_neg,
-)
+from .fields import QQ, FieldDescriptor, FieldElement, box_coefficient
 from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
 from .groups import raw_ops as group_ops
 from .series import (
@@ -186,18 +190,24 @@ class _Parser:
             return Monomial(-c if negate else c, g)
         return Neg(node) if negate else node
 
-    def factor(self) -> Series | tuple[FieldElement, GroupElement]:
-        """A factor; a written one, a coefficient or ``t^(g)``, as its
-        (coefficient, exponent) pair."""
-        tok = self.peek()
+    def factor(self, divisor: bool = False) -> Series | tuple[FieldElement, GroupElement]:
+        """A factor: an atom, or the quotient of two coefficient atoms; a
+        divisor is read with ``divisor`` set and takes no ``/`` of its
+        own.  A written factor (a number, ``x^n``, ``t^(g)``, a quotient,
+        or a parenthesised Monomial or sum of coefficients) comes back as
+        its (coefficient, exponent) pair.  The atom is read here, not by a
+        rule of its own, so each level of parentheses costs the three
+        frames expr, term and factor."""
+        tok = self.tokens[self.i]
+        zero = self.zero.value
         if tok == "t":
             self.advance()
             self.expect("^")
             self.expect("(")
             g = self.exponent()
             self.expect(")")
-            return self.one, g
-        if tok == "inv":
+            node = self.one, g
+        elif tok == "inv":
             self.advance()
             self.expect("(")
             child = self.expr()
@@ -209,7 +219,7 @@ class _Parser:
                 witness = self.exponent()
             self.expect(")")
             return Inverse(child, witness)
-        if tok == "trunc":
+        elif tok == "trunc":
             self.advance()
             self.expect("(")
             child = self.expr()
@@ -217,21 +227,47 @@ class _Parser:
             g = self.exponent()
             self.expect(")")
             return Truncation(child, g)
-        if tok == "(":
-            if self.field.kind == "Fp(x)":
-                mark = self.i
-                try:
-                    return self.ratfunc(), self.zero
-                except ParseError:
-                    self.i = mark
+        elif tok == "(":
             self.advance()
             node = self.expr()
             self.expect(")")
-            return (node.coefficient, node.exponent) if isinstance(node, Monomial) else node
-        if tok == "O" and self.tokens[self.i + 1] == "(":
-            self.error("O(...) marks terms a truncated result left unlisted;"
-                       " it is not a series and cannot be read back")
-        return self.coefficient(), self.zero
+            summands = node.summands if type(node) is Sum else ()
+            if type(node) is Monomial:
+                node = node.coefficient, node.exponent
+            elif summands and all(type(x) is Monomial and x.exponent.value == zero
+                                  for x in summands):
+                # a sum of coefficients is one coefficient
+                first, *rest = summands
+                node = sum((x.coefficient for x in rest), first.coefficient), self.zero
+            else:
+                return node
+        elif tok.isdecimal():
+            self.advance()
+            node = self.field.element(int(tok)), self.zero
+        elif tok == "x" and self.field.kind == "Fp(x)":
+            self.advance()
+            n = 1
+            if self.at("^"):
+                self.advance()
+                if not self.peek().isdecimal():
+                    self.error("expected a power of x")
+                n = int(self.advance())
+            node = box_coefficient(self.field, ((0,) * n + (1,), (1,))), self.zero
+        else:
+            if tok == "O" and self.tokens[self.i + 1] == "(":
+                self.error("O(...) marks terms a truncated result left unlisted;"
+                           " it is not a series and cannot be read back")
+            self.error(f"expected a coefficient, found {tok or 'end of input'!r}")
+        if divisor or node[1].value != zero or not self.at("/"):
+            return node
+        self.advance()
+        mark = self.i
+        d = self.factor(True)
+        if type(d) is not tuple or d[1].value != zero:
+            self.error("expected a coefficient after '/'", mark)
+        if d[0].is_zero:
+            self.error(_ZERO_DENOMINATOR[self.field.kind], mark)
+        return node[0] * d[0].inverse(), self.zero
 
     # -- exponents ---------------------------------------------------------
 
@@ -249,9 +285,10 @@ class _Parser:
     def exponent(self) -> GroupElement:
         kind = self.group.kind
         if kind == "Z^n":
+            mark = self.i
             coords = self.listed("(", ")", self.signed_int)
             if len(coords) != self.group.rank:
-                self.error(f"expected {self.group.rank} coordinates")
+                self.error(f"expected {self.group.rank} coordinates", mark)
             return box_exponent(self.group, tuple(coords))
         if kind == "trivial":
             mark = self.i
@@ -309,93 +346,13 @@ class _Parser:
     def points(self) -> list[GroupElement]:
         return self.listed("{", "}", self.exponent)
 
-    # -- coefficients -------------------------------------------------------
-
-    def coefficient(self) -> FieldElement:
-        kind = self.field.kind
-        if kind == "Fp(x)":
-            return self.ratfunc()
-        tok = self.peek()
-        if not tok.isdecimal():
-            self.error(f"expected a coefficient, found {tok or 'end of input'!r}")
-        self.advance()
-        n = int(tok)
-        p = self.field.p
-        if self.at("/"):
-            self.advance()
-            mark = self.i
-            if not self.peek().isdecimal():
-                self.error("expected a denominator")
-            d = int(self.advance())
-            if kind == "Q":
-                if d == 0:
-                    self.error("zero denominator", mark)
-                return box_coefficient(self.field, Fraction(n, d))
-            if d % p == 0:
-                self.error("zero denominator in the coefficient field", mark)
-            return box_coefficient(self.field, n * pow(d, -1, p) % p)
-        return box_coefficient(self.field, Fraction(n) if kind == "Q" else n % p)
-
-    def ratfunc(self) -> FieldElement:
-        num = self.ppoly()
-        if self.at("/"):
-            self.advance()
-            den = self.ppoly()
-            if not any(den):
-                self.error("zero denominator in rational function")
-            return self.field.element((num, den))
-        # a trimmed numerator over 1 is already in lowest terms
-        return box_coefficient(self.field, (num, (1,)))
-
-    def ppoly(self) -> tuple[int, ...]:
-        if self.at("("):
-            self.advance()
-            coeffs = self.poly()
-            self.expect(")")
-            return coeffs
-        return self.mono()
-
-    def poly(self) -> tuple[int, ...]:
-        p = self.field.p
-        total = self.mono()
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            nxt = self.mono()
-            if op == "-":
-                nxt = poly_neg(nxt, p)
-            total = poly_add(total, nxt, p)
-        return total
-
-    def mono(self) -> tuple[int, ...]:
-        p = self.field.p
-        tok = self.peek()
-        coeff = 1
-        have_num = False
-        if tok.isdecimal():
-            self.advance()
-            coeff = int(tok) % p
-            have_num = True
-            if self.at("*"):
-                if self.tokens[self.i + 1] != "x":
-                    return ((coeff,) if coeff else ())
-                self.advance()
-        if self.at("x"):
-            self.advance()
-            deg = 1
-            if self.at("^"):
-                self.advance()
-                if not self.peek().isdecimal():
-                    self.error("expected a power of x")
-                deg = int(self.advance())
-            if coeff == 0:
-                return ()
-            return poly_mul((coeff,), (0,) * deg + (1,), p)
-        if have_num:
-            return ((coeff,) if coeff else ())
-        self.error(f"expected a polynomial term, found {tok or 'end of input'!r}")
-
-
 _GENERATED_REGIONS = {"mon": submonoid, "grp": subgroup, "set": finite_region}
+
+_ZERO_DENOMINATOR = {
+    "Q": "zero denominator",
+    "Fp": "zero denominator in the coefficient field",
+    "Fp(x)": "zero denominator in rational function",
+}
 
 
 def _node(factor) -> Series:
@@ -410,10 +367,7 @@ def parse_expression(text: str, group: GroupDescriptor,
 
 def parse_exponent_text(text: str, group: GroupDescriptor) -> GroupElement:
     p = _Parser(text, group, QQ)
-    g = p.exponent()
-    if p.peek():
-        p.error("trailing input after exponent")
-    return g
+    return p.ended(p.exponent(), "exponent")
 
 
 def parse_family_text(text: str, group: GroupDescriptor) -> Family:
@@ -426,10 +380,8 @@ def parse_family_text(text: str, group: GroupDescriptor) -> Family:
 
 def render_expression(node: Series) -> str:
     """Expression text for a node tree.  A tree the parser built reparses
-    to the same tree, but for one case: over F_p(x) a parenthesised sum of
-    coefficient-only terms, as in ``((1) + x)*t^(1)``, reads back as one
-    coefficient of the same value.  Any other tree reparses to the same
-    value.  Raises TypeError for nodes the grammar cannot write."""
+    to the same tree; any other tree reparses to the same value.  Raises
+    TypeError for nodes the grammar cannot write."""
     if isinstance(node, Monomial):
         sign, body = _monomial_text(node)
         return sign + body
@@ -441,10 +393,11 @@ def render_expression(node: Series) -> str:
         )
     if isinstance(node, Product):
         # the right operand must read back as one factor, so a sum, a
-        # product, a signed text and a monomial c*t^(g) are parenthesised
+        # product, a signed text and a monomial written with a '*' (c*t^(g),
+        # or an F_p(x) coefficient like 2*x) are parenthesised
         right = render_expression(node.right)
         if (isinstance(node.right, (Sum, Product)) or right.startswith("-")
-                or isinstance(node.right, Monomial) and "*t^(" in right):
+                or isinstance(node.right, Monomial) and "*" in right):
             right = f"({right})"
         return f"{_wrap_additive(node.left)}*{right}"
     if isinstance(node, Neg):

@@ -309,7 +309,14 @@ def test_malformed_family_point_keeps_its_parse_error():
     code, out, err = run_cli(
         "check-family", "explicit{{(0,1)},{(0,1),(1,2,3)}}", "--group", "Z^2", "--condition", "S2",
     )
-    assert (code, out, err) == (2, "", "error: expected 2 coordinates (line 1, column 32)\n")
+    assert (code, out, err) == (2, "", "error: expected 2 coordinates (line 1, column 25)\n")
+
+
+def test_exponent_flags_end_where_expressions_and_descriptors_do():
+    code, out, err = run_cli("eval", "t^(1)", "--exp-bound", "3x")
+    assert (code, out, err) == (2, "", "error: unexpected 'x' after exponent (line 1, column 2)\n")
+    code, out, err = run_cli("invert", "1 + t^(1)", "--g0", "0)", "--exp-bound", "2")
+    assert (code, out, err) == (2, "", "error: unexpected ')' after exponent (line 1, column 2)\n")
 
 
 def test_ratfunc_text_output_reparses():

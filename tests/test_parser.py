@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from hahnseries.series import (
     Sum,
     Truncation,
     children,
+    coefficient_text,
     coefficients_up_to,
     from_terms,
     render_terms,
@@ -228,37 +233,145 @@ def test_render_roundtrip_examples():
 
 
 def test_a_parenthesised_coefficient_sum_reparses_as_one_coefficient():
-    # the one parsed shape that does not re-render to itself: over F_3(x)
-    # the sum (1) + x renders bare, and then reads as one coefficient
+    # a parenthesised sum of coefficients folds into one coefficient, so
+    # the parsed tree renders and reparses to itself
     s = parse_expression("((1) + x)*t^(1)", INTEGERS, F3X)
-    assert isinstance(s, Product) and isinstance(s.left, Sum)
+    assert isinstance(s, Monomial)
+    assert (s.coefficient, s.exponent) == (F3X.element(((1, 1), (1,))), INTEGERS.element(1))
     text = render_expression(s)
-    assert text == "(1 + x)*t^(1)"
-    again = parse_expression(text, INTEGERS, F3X)
-    assert isinstance(again, Monomial)
-    assert (again.coefficient, again.exponent) == (F3X.element(((1, 1), (1,))), INTEGERS.element(1))
-    h = Horizon(INTEGERS.element(2))
-    assert coefficients_up_to(again, h) == coefficients_up_to(s, h)
+    assert text == "(x+1)*t^(1)"
+    assert shape(parse_expression(text, INTEGERS, F3X)) == shape(s)
+    for fld in (QQ, F5, F3X):
+        three = fld.element(3)
+        s = parse_expression("(1 + 2)*t^(1)", INTEGERS, fld)
+        assert isinstance(s, Monomial), fld
+        assert (s.coefficient, s.exponent) == (three, INTEGERS.element(1)), fld
+        s = parse_expression("t^(2)*(4 - 1) + (1 + t^(0))", INTEGERS, fld)
+        assert [(x.coefficient, x.exponent.value) for x in s.summands] == [
+            (three, 2), (fld.element(2), 0)], fld
+        # a sum with a term of nonzero exponent stays a Sum, and one at the
+        # top of an expression or inside inv( ) is not parenthesised
+        assert isinstance(parse_expression("(1 + t^(1))*2", INTEGERS, fld), Product)
+        assert isinstance(parse_expression("1 + 2", INTEGERS, fld), Sum)
+        assert isinstance(parse_expression("inv(1 + 2)", INTEGERS, fld).child, Sum)
 
 
-def _random_series(rng, depth=0):
+def _random_ratfunc(rng, fld, degree=2):
+    p = fld.p
+    num = tuple(rng.randrange(p) for _ in range(rng.randint(1, degree + 1)))
+    den = tuple(rng.randrange(p) for _ in range(rng.randint(0, degree))) + (rng.randrange(1, p),)
+    return fld.element((num, den))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_coefficient_text_parses_to_its_coefficient(p):
+    fld = rational_functions(p)
+    rng = random.Random(p)
+    for _ in range(100):
+        c = _random_ratfunc(rng, fld, degree=3)
+        s = parse_expression(coefficient_text(c), INTEGERS, fld)
+        assert isinstance(s, Monomial), coefficient_text(c)
+        assert (s.coefficient, s.exponent) == (c, INTEGERS.zero), coefficient_text(c)
+
+
+def _parse_error(text, fld=QQ):
+    """The message, line and column of the ParseError the text raises."""
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, INTEGERS, fld)
+    message = str(info.value).rsplit(" (line ", 1)[0]
+    return message, info.value.line, info.value.column
+
+
+def test_a_zero_divisor_in_a_rational_function_is_reported_at_the_divisor():
+    message = "zero denominator in rational function"
+    assert _parse_error("(x+1)/(x+x+x)*t^(1)", F3X) == (message, 1, 7)
+    assert _parse_error("(x+1)/0", F3X) == (message, 1, 7)
+    assert _parse_error("x/0*t^(1)", F3X) == (message, 1, 3)
+    # the other fields keep their messages, at the divisor too
+    assert _parse_error("1 + 2/0*t^(1)") == ("zero denominator", 1, 7)
+    assert _parse_error("1/7*t^(1)", prime_field(7)) == (
+        "zero denominator in the coefficient field", 1, 3)
+
+
+def test_a_coefficient_is_not_written_next_to_x():
+    assert _parse_error("2x", F3X) == ("unexpected 'x' after expression", 1, 2)
+    # 2*x is two factors, so a divisor ends before its '*'
+    s = parse_expression("x/2*x", INTEGERS, F3X)
+    assert s.coefficient == F3X.element(((0, 0, 2), (1,)))
+    # and a product renders such a right operand in parentheses
+    s = parse_expression("t^(1)*t^(2)*(2*x)", INTEGERS, F3X)
+    assert render_expression(s) == "t^(1)*t^(2)*(2*x)"
+
+
+def test_a_divisor_is_any_coefficient_atom():
+    s = parse_q("1/(2)")
+    assert (s.coefficient.value, s.exponent.value) == (Fraction(1, 2), 0)
+    s = parse_q("(1 + 1/2)/(3)*t^(1)")
+    assert (s.coefficient.value, s.exponent.value) == (Fraction(1, 2), 1)
+    s = parse_expression("(x^2+1)/(x+2)*t^(1)", INTEGERS, F3X)
+    assert str(s.coefficient) == "(x^2+1)/(x+2)" and s.exponent.value == 1
+    assert _parse_error("2/-3") == ("expected a coefficient, found '-'", 1, 3)
+    assert _parse_error("2/t^(1)") == ("expected a coefficient after '/'", 1, 3)
+    # '/' follows a coefficient only
+    assert _parse_error("t^(1)/2") == ("unexpected '/' after expression", 1, 6)
+    assert _parse_error("1/2/3") == ("unexpected '/' after expression", 1, 4)
+
+
+@pytest.mark.parametrize("fld", [QQ, prime_field(7), F3X], ids=str)
+def test_coefficient_errors_read_the_same_in_every_field(fld):
+    assert _parse_error("1 + ", fld) == ("expected a coefficient, found 'end of input'", 1, 5)
+    if fld is F3X:
+        assert _parse_error("x^y", fld) == ("expected a power of x", 1, 3)
+    else:
+        assert _parse_error("2*x", fld) == ("expected a coefficient, found 'x'", 1, 3)
+
+
+def test_330_nested_parentheses_parse_at_the_default_recursion_limit():
+    # each level costs the frames expr, term and factor; a fresh
+    # interpreter runs the parse with nothing else on its stack, after one
+    # shallow parse has filled the field's cached arithmetic table
+    script = "\n".join((
+        "import sys",
+        "from hahnseries import INTEGERS, QQ, parse_expression, rational_functions,"
+        " render_expression",
+        "assert sys.getrecursionlimit() == 1000",
+        "text = '(' * 330 + 't^(1)' + ')' * 330",
+        "for fld in (QQ, rational_functions(3)):",
+        "    parse_expression('t^(1)', INTEGERS, fld)",
+        "    print(render_expression(parse_expression(text, INTEGERS, fld)))",
+    ))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t^(1)\nt^(1)\n", "")
+
+
+def _random_series(rng, depth=0, fld=QQ):
     if depth >= 3 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            c = QQ.element(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            if fld is QQ:
+                c = QQ.element(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            else:
+                c = _random_ratfunc(rng, fld)
             return Monomial(c, INTEGERS.zero)
-        return Monomial(QQ.one, INTEGERS.element(rng.randint(-9, 9)))
-    kind = rng.choice(["add", "sub", "mul", "neg", "inv", "trunc"])
+        return Monomial(fld.one, INTEGERS.element(rng.randint(-9, 9)))
+    kinds = ["add", "sub", "mul", "neg", "inv", "trunc"]
+    kind = rng.choice(kinds if fld is QQ else kinds + ["mulsum"])
+    if kind == "mulsum":  # a product with a sum of coefficients
+        csum = Sum(*(Monomial(_random_ratfunc(rng, fld), INTEGERS.zero)
+                     for _ in range(rng.randint(2, 3))))
+        return Product(csum, _random_series(rng, depth + 1, fld))
     if kind in ("add", "sub", "mul"):
-        left, right = _random_series(rng, depth + 1), _random_series(rng, depth + 1)
+        left, right = (_random_series(rng, depth + 1, fld) for _ in range(2))
         if kind == "mul":
             return Product(left, right)
         return Sum(left, right if kind == "add" else Neg(right))
     if kind == "neg":
-        return Neg(_random_series(rng, depth + 1))
+        return Neg(_random_series(rng, depth + 1, fld))
     if kind == "inv":
         witness = INTEGERS.element(rng.randint(-3, 3)) if rng.random() < 0.4 else None
-        return Inverse(_random_series(rng, depth + 1), witness)
-    child = _random_series(rng, depth + 1)
+        return Inverse(_random_series(rng, depth + 1, fld), witness)
+    child = _random_series(rng, depth + 1, fld)
     return Truncation(child, INTEGERS.element(rng.randint(-5, 5)))
 
 
@@ -280,6 +393,15 @@ def test_render_roundtrip_random():
         parsed = parse_q(text)
         assert _outcome(parsed, h) == _outcome(s, h), text
         assert shape(parse_q(render_expression(parsed))) == shape(parsed), text
+    # over F_3(x), with quotient coefficients and products with a sum of
+    # coefficients, which the parser folds into one coefficient
+    for _ in range(150):
+        s = _random_series(rng, fld=F3X)
+        text = render_expression(s)
+        parsed = parse_expression(text, INTEGERS, F3X)
+        assert _outcome(parsed, h) == _outcome(s, h), text
+        again = parse_expression(render_expression(parsed), INTEGERS, F3X)
+        assert shape(again) == shape(parsed), text
 
 
 def test_render_rejects_nodes_the_grammar_cannot_write():
@@ -402,8 +524,8 @@ def test_rendered_library_monomials_reparse_to_the_same_value(fld):
 
 
 def test_long_inputs_parse_with_backtracking():
-    # each group is tried as an F_p(x) coefficient first, then reparsed as
-    # a series, across 2000 tokens
+    # each group holds a term of nonzero exponent, so it stays a sum rather
+    # than folding into one F_p(x) coefficient, across 2000 tokens
     text = " + ".join(f"(1 + {k % 2 + 1}*t^({k + 1}))" for k in range(200))
     tl = coefficients_up_to(parse_expression(text, INTEGERS, F3X), Horizon(INTEGERS.element(200)))
     assert [(g.value, str(c)) for g, c in tl.terms] == [(0, "2")] + [
