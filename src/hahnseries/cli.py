@@ -252,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in arguments.split():
             sub.add_argument(arg, **ARGUMENTS[arg])
         sub.set_defaults(handler=handler)
+        # argparse's negative-number test, widened: an argument that names no
+        # option and starts with one '-', such as "-2*t^(1)", is a value
+        sub._negative_number_matcher = re.compile(r"-[^-]")
     return ap
 
 

@@ -56,7 +56,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .fields import QQ, FieldDescriptor, FieldElement, box_coefficient
+from .fields import QQ, FieldDescriptor, FieldElement, box_coefficient, raw_ops
 from .groups import GroupDescriptor, GroupElement, box_exponent, group_zero
 from .groups import raw_ops as group_ops
 from .series import (
@@ -108,6 +108,9 @@ class _Parser:
         # shared by every monomial the parse builds; elements are immutable
         self.one = fld.one
         self.zero = group_zero(group)
+        # build the field's cached arithmetic now, not in the first Monomial
+        # of a deeply nested parse, at its deepest frame
+        raw_ops(fld)
 
     # -- token plumbing ---------------------------------------------------
 

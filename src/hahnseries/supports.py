@@ -340,15 +340,16 @@ class Family:
     An explicit family also carries its member index: ``raw_members``
     holds each member as a tuple of raw exponent values, in the order of
     ``members``, and ``raw_member_set`` holds the same tuples for
-    membership tests.
+    membership tests.  ``explicit_family`` checks the points and passes
+    the index in; for a family built without it, both are done here.
     """
 
     group: GroupDescriptor
     kind: str
     region: Region | None = None
     members: tuple[tuple[GroupElement, ...], ...] = ()
-    raw_members: tuple[tuple, ...] = field(default=(), init=False, repr=False,
-                                           compare=False)
+    raw_members: tuple[tuple, ...] | None = field(default=None, repr=False,
+                                                  compare=False)
     raw_member_set: frozenset = field(default=frozenset(), init=False,
                                       repr=False, compare=False)
 
@@ -357,14 +358,12 @@ class Family:
             if self.region is None or self.region.group != self.group:
                 raise ValueError("region family needs a region over the same group")
         elif self.kind == EXPLICIT_FAMILY:
-            raw = []
-            for m in self.members:
-                for p in m:
-                    if p.descriptor is not self.group and p.descriptor != self.group:
-                        raise DescriptorMismatch("member point uses a different group")
-                raw.append(tuple(p.value for p in m))
-            object.__setattr__(self, "raw_members", tuple(raw))
-            object.__setattr__(self, "raw_member_set", frozenset(raw))
+            if self.raw_members is None:
+                if any(p.descriptor != self.group for m in self.members for p in m):
+                    raise DescriptorMismatch("member point uses a different group")
+                object.__setattr__(self, "raw_members",
+                                   tuple(tuple(p.value for p in m) for m in self.members))
+            object.__setattr__(self, "raw_member_set", frozenset(self.raw_members))
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
@@ -404,9 +403,10 @@ def explicit_family(group: GroupDescriptor, members) -> Family:
             boxed.setdefault(p.value, p)
             values.add(p.value)
         canonical.add(tuple(sorted(values)))
+    raw = tuple(sorted(canonical))
     return Family(group, EXPLICIT_FAMILY, members=tuple(
-        tuple(boxed[v] for v in m) for m in sorted(canonical)
-    ))
+        tuple(boxed[v] for v in m) for m in raw
+    ), raw_members=raw)
 
 
 def family_contains(F: Family, A: SupportSet,
@@ -453,9 +453,11 @@ def _require_not_f2(fld: FieldDescriptor):
         raise FieldTooSmall("witness construction needs a field other than F_2")
 
 
-def ones_series(A: SupportSet, fld: FieldDescriptor) -> Series:
-    """sum of t^g over the points of A, every coefficient 1."""
-    return Literal(A.group, fld, [(g, fld.one) for g in A.points])
+def ones_series(A: SupportSet, fld: FieldDescriptor, negated=frozenset()) -> Series:
+    """sum of t^g over the points of A, with coefficient -1 on the points
+    in ``negated`` and 1 on the rest."""
+    one = fld.one
+    return Literal(A.group, fld, [(g, -one if g in negated else one) for g in A.points])
 
 
 def subset_sum_witness(A: SupportSet, B: SupportSet,
@@ -464,17 +466,10 @@ def subset_sum_witness(A: SupportSet, B: SupportSet,
     subset of A: coefficients of c avoid {0, -a_g} on B and cancel a
     elsewhere."""
     _require_not_f2(fld)
-    if not B.as_set() <= A.as_set():
+    aset, bset = A.as_set(), B.as_set()
+    if not bset <= aset:
         raise ValueError("subset witness needs B contained in A")
-    one = fld.one
-    a = ones_series(A, fld)
-    bset = B.as_set()
-    c = Literal(
-        A.group,
-        fld,
-        [(g, one if g in bset else -one) for g in A.points],
-    )
-    return a, c
+    return ones_series(A, fld), ones_series(A, fld, aset - bset)
 
 
 def union_sum_witness(A: SupportSet, B: SupportSet,

@@ -23,12 +23,10 @@ from .groups import INTEGERS, RATIONALS, TRIVIAL, group_zero, unit_sample
 from .series import (
     EvaluationContext,
     Horizon,
-    coefficient_at,
     coefficients_up_to,
     from_terms,
     invert,
     one_series,
-    support_up_to,
 )
 from .supports import (
     DEFAULT_BUDGET,
@@ -41,6 +39,7 @@ from .supports import (
     family_contains,
     finite_subsets_family,
     finite_sums_closure,
+    minkowski_sum,
     nonneg_cone,
     ones_series,
     support_of_terms,
@@ -116,30 +115,37 @@ _PRODUCT_ROUTES = {
 
 
 def verify_product_support(a, b, h: Horizon) -> Report:
-    """Set equality of enumerated supp(a*b) and supp(a) (+) supp(b).
+    """Enumerated supp(a*b) against ``minkowski_sum`` of supp(a) and
+    supp(b), up to the lower of the sum's limit and the product's.
 
-    Guaranteed under either hypothesis route: all coefficients strictly
+    Equal under either hypothesis route: all coefficients strictly
     positive rationals, or monomial powers of x over F_p(x) whose degree
     sums are distinct on every convolution fiber (so no cancellation mod
     p can occur).  Without a route the report is hypothesis-unmet but
     still shows the comparison.
     """
-    fld = a.field
+    fld, group = a.field, a.group
     ta = coefficients_up_to(a, h)
     tb = coefficients_up_to(b, h)
     if not (ta.complete and tb.complete):
         raise TermBudgetExceeded("operand enumeration incomplete")
     params = {"field": fld, "exp_bound": h.exp_bound}
-    lhs = support_up_to(a * b, h)
-    sums = {ga + gb for ga, _ in ta.terms for gb, _ in tb.terms if not ga + gb > h.exp_bound}
-    sum_set = sorted(sums)
-    lhs_set = set(lhs)
+    expected = minkowski_sum(support_of_terms(group, ta, h.exp_bound),
+                             support_of_terms(group, tb, h.exp_bound), h)
+    got = support_of_terms(group, coefficients_up_to(a * b, h), h.exp_bound)
+    # an exclusive (budget-hit) limit lies below an inclusive one at the same point
+    limit, inclusive = min((s.bound, not s.budget_hit) for s in (expected, got))
+    lhs, sum_set = ([g for g in s.points if g < limit or inclusive and g == limit]
+                    for s in (got, expected))
+    lhs_set, sums = set(lhs), set(sum_set)
     missing = [g for g in sum_set if g not in lhs_set]
     extra = [g for g in lhs if g not in sums]
     details = {
         "product_support": "{" + ",".join(map(str, lhs)) + "}",
         "support_sum_set": "{" + ",".join(map(str, sum_set)) + "}",
     }
+    if (limit, inclusive) != (h.exp_bound, True):
+        details["compared_up_to"] = f"{'<=' if inclusive else '<'} {limit}"
     if missing:
         details["missing"] = "{" + ",".join(map(str, missing)) + "}"
 
@@ -183,7 +189,8 @@ def verify_neumann_support(a, h: Horizon) -> Report:
             "neumann-support", params, HYPOTHESIS_UNMET, citation,
             witness=f"{fld} has no ordered subfield of positive coefficients",
         )
-    ta = coefficients_up_to(a, h)
+    ctx = EvaluationContext(h)
+    ta = ctx.coefficients(a)
     if not ta.complete:
         raise TermBudgetExceeded("operand enumeration incomplete")
     zero = group_zero(a.group)
@@ -198,25 +205,18 @@ def verify_neumann_support(a, h: Horizon) -> Report:
                 "neumann-support", params, HYPOTHESIS_UNMET, citation,
                 witness=f"coefficient {c} at {g} is not strictly positive",
             )
-    b = one_series(a.group, fld) - a
-    inv_support = support_up_to(invert(b, h), h)
-    closure = finite_sums_closure(
-        support_of_terms(a.group, ta, h.exp_bound), h
-    )
+    inv_support = ctx.coefficients(invert(one_series(a.group, fld) - a)).support()
+    closure = finite_sums_closure(support_of_terms(a.group, ta, h.exp_bound), h)
     if closure.budget_hit:
         raise TermBudgetExceeded("sum closure enumeration incomplete")
     details = {
         "inverse_support": "{" + ",".join(map(str, inv_support)) + "}",
         "sum_closure": "{" + ",".join(map(str, closure.points)) + "}",
     }
-    if tuple(inv_support) == closure.points:
+    if inv_support == closure.points:
         return Report("neumann-support", params, PASS, citation, details=details)
-    diff = set(closure.points).symmetric_difference(inv_support)
-    witness = min(diff)
-    return Report(
-        "neumann-support", params, FAIL, citation,
-        witness=witness, details=details,
-    )
+    return Report("neumann-support", params, FAIL, citation, details=details,
+                  witness=min(set(closure.points).symmetric_difference(inv_support)))
 
 
 def verify_fp_gap(p: int, h: Horizon | None = None) -> Report:
@@ -230,17 +230,19 @@ def verify_fp_gap(p: int, h: Horizon | None = None) -> Report:
     citation = "inverse-support-gap-mod-p"
     one = fld.one
     z = INTEGERS.element
-    a = from_terms(INTEGERS, fld, [(z(1), one), (z(p), -one)])
-    b = one_series(INTEGERS, fld) - a  # 1 - t + t^p
-    coeff = coefficient_at(invert(b, h), z(p), h)
+    b = from_terms(INTEGERS, fld, [(z(0), one), (z(1), -one), (z(p), one)])  # 1 - t + t^p
+    # one evaluation, reaching p when the horizon stops short of it
+    tl = EvaluationContext(h).coefficients(invert(b), max(h.exp_bound, z(p)))
+    if not tl.complete and not z(p) < tl.frontier:
+        raise TermBudgetExceeded(f"coefficient at {p} not certain within budget")
+    coeff = tl.coefficient_at(z(p)) or fld.zero
     closure = finite_sums_closure(explicit_support(INTEGERS, [z(1), z(p)]), h)
     in_closure = z(p) in closure.points
+    prefix = ",".join(str(g) for g in tl.support() if not g > h.exp_bound)
     details = {
         "coefficient_at_p": coeff,
         "p_in_sum_closure": in_closure,
-        "inverse_support_prefix": "{"
-        + ",".join(map(str, support_up_to(invert(b, h), h)))
-        + "}",
+        "inverse_support_prefix": "{" + prefix + "}",
     }
     if coeff.is_zero and in_closure:
         return Report("fp-gap", params, BOUNDED_PASS, citation, details=details)
@@ -359,22 +361,16 @@ def _probe_horizon(F: Family) -> Horizon:
 
 
 def _additive_probes(fld: FieldDescriptor, members):
-    """(A, B, a + c) for every ordered pair of members: a has support A
-    and c support B, with the signs of c chosen so that a + c has support
-    (A xor B) plus each subset of the overlap in turn."""
+    """(A, B, a + c) for every ordered pair of members: a is all ones on
+    A and c on B, negated on the part of the overlap a + c is to cancel,
+    so a + c has support (A xor B) plus each subset of the overlap."""
     for A in members:
         a = ones_series(A, fld)
         for B in members:
-            base = set(A.points) ^ set(B.points)
             overlap = sorted(set(A.points) & set(B.points))
             for mask in range(1 << len(overlap)):
-                target = base | {p for i, p in enumerate(overlap) if mask >> i & 1}
-                c = from_terms(
-                    B.group,
-                    fld,
-                    [(g, fld.one if g in target else -fld.one) for g in B.points],
-                )
-                yield A, B, a + c
+                negated = {p for i, p in enumerate(overlap) if not mask >> i & 1}
+                yield A, B, a + ones_series(B, fld, negated)
 
 
 def _multiplicative_probes(fld: FieldDescriptor, members):

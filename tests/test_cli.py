@@ -278,6 +278,30 @@ def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, flag, capsys):
     assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, values, flags", [
+    ("eval", ("-2*t^(1)",), ()),
+    ("eval", ("-2*t^(1) + t^(3)",), ()),
+    ("eval", ("-(x+1)*t^(1)",), ("--field", "F3(x)")),
+    ("eval", ("-t^(1/2)",), ("--group", "Q", "--exp-bound", "-1/2")),
+    ("vmin", ("-t^(2) + t^(5)",), ("--json",)),
+    ("trunc", ("-t^(1) - 2*t^(2)", "-1/2"), ("--group", "Q", "--inclusive")),
+    ("invert", ("-2*t^(3) + t^(4)",), ("--g0", "3", "--exp-bound", "4")),
+    ("eval", ("-2*t^(1)/",), ()),
+    ("eval", ("-t^(2)+-(t^(1)*5)",), ()),
+])
+def test_a_leading_minus_needs_no_double_dash(command, values, flags):
+    """An argument that starts with one '-' and names no option is a value,
+    read exactly as it is after '--', error positions included."""
+    assert run_cli(command, *values, *flags) == run_cli(command, *flags, "--", *values)
+
+
+def test_a_leading_minus_expression_prints_the_series():
+    assert run_cli("eval", "-2*t^(1)") == (0, "-2*t^(1)\n", "")
+    # an argument that names an option is still read as one
+    assert run_cli("eval", "-h")[0] == 0
+    assert run_cli("eval", "--json") == (2, "", "")
+
+
 def test_repeated_main_calls_match_single_calls():
     """main() shares one parser across calls; alternating subcommands,
     usage errors included, print exactly what a lone call prints."""

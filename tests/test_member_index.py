@@ -9,9 +9,11 @@ outcome, rule, witness and note.
 import random
 from fractions import Fraction
 
+import pytest
 from reference_conditions import check_explicit_family
 
 from hahnseries.conditions import CONDITION_NAMES, check_condition, witness_refutes
+from hahnseries.errors import DescriptorMismatch
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, group_zero, lex_product
 from hahnseries.supports import (
     EXPLICIT_FAMILY,
@@ -141,3 +143,24 @@ def test_index_follows_member_order():
     G = explicit_family(lex_product(2), [[lex_product(2).element((1, -1)),
                                           lex_product(2).element((0, 5))]])
     assert G.raw_members == (((0, 5), (1, -1)),)
+
+
+def test_the_index_explicit_family_passes_is_the_one_family_builds():
+    for F in FAMILIES:
+        rebuilt = Family(F.group, EXPLICIT_FAMILY, members=F.members)
+        assert rebuilt.raw_members == F.raw_members
+        assert rebuilt.raw_member_set == F.raw_member_set
+
+
+@pytest.mark.parametrize("members", [
+    [[INTEGERS.element(1), RATIONALS.element(1)]],
+    [[RATIONALS.element(1)], [INTEGERS.element(1)]],
+    [[INTEGERS.element(1)], [RATIONALS.element(1)]],
+    [[], [RATIONALS.element(Fraction(1, 2))]],
+])
+def test_a_foreign_point_is_rejected_both_ways(members):
+    # Q's 1 has the raw value of Z's 1, yet it is never deduplicated away
+    with pytest.raises(DescriptorMismatch):
+        explicit_family(INTEGERS, members)
+    with pytest.raises(DescriptorMismatch):
+        Family(INTEGERS, EXPLICIT_FAMILY, members=tuple(tuple(m) for m in members))

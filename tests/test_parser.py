@@ -346,6 +346,22 @@ def test_330_nested_parentheses_parse_at_the_default_recursion_limit():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t^(1)\nt^(1)\n", "")
 
 
+@pytest.mark.parametrize("field", ["QQ", "rational_functions(3)"])
+def test_330_nested_parentheses_parse_cold(field):
+    # the first parse of a process reaches the same depth: the parser
+    # builds the field's arithmetic table before it descends
+    script = "\n".join((
+        "from hahnseries import INTEGERS, QQ, parse_expression, rational_functions,"
+        " render_expression",
+        "text = '(' * 330 + 't^(1)' + ')' * 330",
+        f"print(render_expression(parse_expression(text, INTEGERS, {field})))",
+    ))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "t^(1)\n", "")
+
+
 def _random_series(rng, depth=0, fld=QQ):
     if depth >= 3 or rng.random() < 0.4:
         if rng.random() < 0.5:

@@ -391,3 +391,33 @@ def test_submonoid_membership_nonpositive_generators():
     assert region_contains(two, zq(-2)) is False  # above the largest generator
     assert region_contains(two, zq(-4)) is True
     assert region_contains(two, zq(-10)) is True
+
+
+def _monoid_sums(gens, window):
+    """Every sum of the generators within [-window, window], by closure
+    inside the window: a multiset summing to g can be added in an order
+    whose partial sums stay within max |gen| of the range from 0 to g."""
+    reach, todo = {0}, [0]
+    while todo:
+        base = todo.pop()
+        for v in gens:
+            s = base + v
+            if abs(s) <= window and s not in reach:
+                reach.add(s)
+                todo.append(s)
+    return reach
+
+
+def test_submonoid_membership_agrees_with_enumerated_sums():
+    rng = random.Random(1873)
+    answers = set()
+    for _ in range(120):
+        gens = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+        sums = _monoid_sums(gens, 60)
+        region = submonoid(INTEGERS, [zq(v) for v in gens])
+        for g in range(-40, 41):
+            got = region_contains(region, zq(g))
+            answers.add(got)
+            # None is allowed; a True or a False must be right
+            assert got is None or got == (g in sums), (gens, g)
+    assert answers == {True, False, None}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,56 @@ def test_product_support_independent_against_all_ones():
     r = verify_product_support(a, b, H(10))
     assert r.status == "pass"
     assert r.details["product_support"] == r.details["support_sum_set"]
+
+
+def test_product_support_compares_below_the_limits_of_both_sides():
+    # t^(12) lies above the bound, so the sum set is known only up to
+    # 10 + (-5); the product's t^(7) lies beyond that
+    r = verify_product_support(qpoly((0, 1), (12, 1)), qpoly((-5, 1), (0, 1)), H(10))
+    assert r.status == "pass"
+    assert r.details == {"product_support": "{-5,0}", "support_sum_set": "{-5,0}",
+                         "compared_up_to": "<= 5"}
+    # the term budget cuts the product short at its 51st point
+    a = qpoly(*((i, 1) for i in range(40)))
+    r = verify_product_support(a, a, Horizon(zq(200), 50))
+    assert r.status == "pass"
+    assert r.details["compared_up_to"] == "< 50"
+    assert r.details["product_support"] == "{" + ",".join(map(str, range(50))) + "}"
+
+
+def _compared_limit(A, B, bound, term_bound):
+    """Where the product-support check may compare, from the exponent
+    lists alone: below every sum with an operand point above the bound,
+    and below the product's first point beyond the term budget."""
+    limit, inclusive = bound, True
+    for Y in (A, B):
+        listed = [e for e in Y if e <= bound]
+        limit = min(limit, bound + (listed[0] if listed else bound))
+    visible = sorted({x + y for x in A for y in B if x + y <= bound})
+    if len(visible) > term_bound and visible[term_bound] <= limit:
+        limit, inclusive = visible[term_bound], False
+    return limit, inclusive
+
+
+def test_random_positive_products_match_the_pairwise_sum_set():
+    rng = random.Random(20040323)
+    lowered = 0
+    for _ in range(300):
+        term_bound = rng.randint(5, 50)
+        bound = rng.randint(-6, 24)
+        A, B = (sorted(rng.sample(range(-8, 16), rng.randint(1, 5))) for _ in range(2))
+        a, b = (qpoly(*((e, Fraction(rng.randint(1, 9), rng.randint(1, 4))) for e in X))
+                for X in (A, B))
+        r = verify_product_support(a, b, Horizon(zq(bound), term_bound))
+        assert r.status == "pass", (A, B, bound, term_bound, r.details)
+        limit, inclusive = _compared_limit(A, B, bound, term_bound)
+        want = sorted(s for s in {x + y for x in A for y in B}
+                      if s < limit or inclusive and s == limit)
+        text = "{" + ",".join(map(str, want)) + "}"
+        assert r.details["product_support"] == text == r.details["support_sum_set"]
+        if (limit, inclusive) == (bound, True):
+            assert "compared_up_to" not in r.details
+        else:
+            lowered += 1
+            assert r.details["compared_up_to"] == f"{'<=' if inclusive else '<'} {limit}"
+    assert lowered > 50
