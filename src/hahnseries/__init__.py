@@ -10,7 +10,6 @@ from .errors import (
     InvalidWitness,
     NotInNonNegCone,
     ParseError,
-    PreconditionViolation,
     TermBudgetExceeded,
     UnknownWithinBudget,
     UnorderedField,
@@ -37,7 +36,6 @@ from .fields import (
 )
 from .series import (
     EvaluationContext,
-    GeometricTail,
     Horizon,
     Inverse,
     InversionFactorization,

@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     TermBudgetExceeded,
     UnknownWithinBudget,
-    ZeroUpToHorizon,
 )
 from .fields import FieldDescriptor, prime_field, rational_functions
 from .groups import INTEGERS, RATIONALS, TRIVIAL, GroupDescriptor, lex_product
@@ -37,6 +36,7 @@ from .series import (
     Horizon,
     Inverse,
     Truncation,
+    least_exponent,
     render_terms,
     terms_to_json,
 )
@@ -123,11 +123,7 @@ def _run_eval(args, out) -> int:
             print(text if tl.complete else text + ",...", file=out)
         return EXIT_OK
     if args.command == "vmin":
-        if not tl.terms:
-            if tl.complete:
-                raise ZeroUpToHorizon(f"no nonzero coefficient at or below {bound}")
-            raise TermBudgetExceeded("support enumeration hit the term budget")
-        v = tl.terms[0][0]
+        v = least_exponent(tl, bound)
         print(json.dumps({"vmin": str(v)}) if args.json else str(v), file=out)
         return EXIT_OK
     print(terms_to_json(tl) if args.json else render_terms(tl), file=out)

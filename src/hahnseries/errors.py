@@ -47,11 +47,6 @@ class InvalidWitness(HahnSeriesError):
     """A caller-supplied inversion witness exponent is wrong for the series."""
 
 
-class PreconditionViolation(HahnSeriesError):
-    """A structural precondition failed (e.g. geometric tail base with
-    a nonpositive leading exponent)."""
-
-
 class ParseError(HahnSeriesError):
     """Syntax error in an expression or descriptor, with source position."""
 

@@ -19,7 +19,9 @@ closure of supp(eps) (Neumann), so the tail is solved by online division
 over that closure: one walk of the closure in increasing order computes
 c_0 = 1 and c_g = sum of eps_h * c_(g-h) over h in supp(eps).  The walk
 stays below the frontier of eps and stops at the (term_bound+1)-th
-nonzero coefficient, which then becomes the frontier.
+nonzero coefficient, which then becomes the frontier.  An inverse
+expands in one step: eps is read off the terms of b itself, so no
+intermediate node is built and none enters the memo.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from math import lcm
 from .errors import (
     DescriptorMismatch,
     InvalidWitness,
-    PreconditionViolation,
     TermBudgetExceeded,
     ZeroUpToHorizon,
 )
@@ -265,16 +266,6 @@ class Inverse(Series):
         object.__setattr__(self, "witness", witness)
 
 
-class GeometricTail(Series):
-    """sum of base^n over n >= 0; requires vmin(base) > 0 at evaluation."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Series):
-        super().__init__(base.group, base.field)
-        object.__setattr__(self, "base", base)
-
-
 class Truncation(Series):
     """Keep exponents strictly below the cutoff (or <= with inclusive)."""
 
@@ -297,8 +288,6 @@ def children(node: Series) -> tuple[Series, ...]:
         return (node.left, node.right)
     if isinstance(node, (Neg, Inverse, Truncation)):
         return (node.child,)
-    if isinstance(node, GeometricTail):
-        return (node.base,)
     if isinstance(node, (Monomial, Literal)):
         return ()
     raise TypeError(f"unknown series node {type(node).__name__}")
@@ -472,7 +461,8 @@ class EvaluationContext:
         self._complete_cache: dict[Series, tuple] = {}
         # (node, raw bound) -> (raw terms, raw frontier) when truncated
         self._exact_cache: dict[tuple, tuple] = {}
-        self._inversions: dict[Series, tuple[InversionFactorization, Series]] = {}
+        # node -> raw leading term (g0, lead) of its child
+        self._inversions: dict[Series, tuple] = {}
         # node -> raw lower bound for min supp, None for the zero series
         self._vmin_bounds: dict[Series, object] = {}
 
@@ -496,9 +486,14 @@ class EvaluationContext:
         return TermList(boxed[:len(terms)], True, None)
 
     def resolve_inversion(self, s: Series) -> InversionFactorization:
-        if isinstance(s, Inverse):
-            return self._resolve(s)[0]
-        raise TypeError("resolve_inversion expects an Inverse node")
+        if not isinstance(s, Inverse):
+            raise TypeError("resolve_inversion expects an Inverse node")
+        g0, lead = self._resolve(s)
+        g0 = box_exponent(s.group, g0)
+        lead = box_coefficient(s.field, lead)
+        neg_lead = -lead
+        epsilon = Product(Monomial(neg_lead.inverse(), -g0), Sum(s.child, Monomial(neg_lead, g0)))
+        return InversionFactorization(g0, lead, epsilon)
 
     # -- evaluation core --------------------------------------------------
 
@@ -540,10 +535,7 @@ class EvaluationContext:
         if isinstance(node, Truncation):
             return self._expand_truncation(node, bound)
         if isinstance(node, Inverse):
-            _, expansion = self._resolve(node)
-            return self._eval(expansion, bound)
-        if isinstance(node, GeometricTail):
-            return self._expand_tail(node, bound)
+            return self._expand_inverse(node, bound)
         raise TypeError(f"unknown series node {type(node).__name__}")
 
     def _expand_sum(self, node: Sum, bound):
@@ -585,10 +577,8 @@ class EvaluationContext:
             if a is None or b is None:
                 return None
             return group_ops(node.group)[0](a, b)
-        if isinstance(node, GeometricTail):
-            return group_zero(node.group).value
         if isinstance(node, Inverse):
-            return (-self._resolve(node)[0].g0).value
+            return group_ops(node.group)[1](self._resolve(node)[0])
         raise TypeError(f"unknown series node {type(node).__name__}")
 
     def _expand_product(self, node: Product, bound):
@@ -628,7 +618,9 @@ class EvaluationContext:
             covered = frontier is None or not frontier < cutoff
         return terms, None if covered else frontier
 
-    def _resolve(self, node: Inverse) -> tuple[InversionFactorization, Series]:
+    def _resolve(self, node: Inverse):
+        """The raw leading term (g0, lead) of the node's child, memoised
+        per node."""
         hit = self._inversions.get(node)
         if hit is not None:
             return hit
@@ -658,38 +650,37 @@ class EvaluationContext:
                 raise TermBudgetExceeded(
                     "zero search exhausted the term budget before any support point"
                 )
-        g0 = box_exponent(node.group, terms[0][0])
-        lead = box_coefficient(node.field, terms[0][1])
-        neg_lead = -lead
-        tail = Sum(child, Monomial(neg_lead, g0))
-        epsilon = Product(Monomial(neg_lead.inverse(), -g0), tail)
-        expansion = Product(Monomial(lead.inverse(), -g0), GeometricTail(epsilon))
-        fact = InversionFactorization(g0, lead, epsilon)
-        self._inversions[node] = (fact, expansion)
-        return fact, expansion
+        self._inversions[node] = terms[0]
+        return terms[0]
 
-    def _expand_tail(self, node: GeometricTail, bound):
-        """(1 - base)^-1 by online division over the closure of supp(base),
-        with the frontier rule of the module docstring."""
-        zero = group_zero(node.group).value
+    def _expand_inverse(self, node: Inverse, bound):
+        """b^-1 = lead^-1 * t^-g0 * (1 - eps)^-1 with eps read off the
+        child's own terms after its lead: a term c*t^g of b gives the term
+        -c/lead * t^(g - g0) of eps.  (1 - eps)^-1 is solved up to
+        bound + g0 by online division over the closure of supp(eps), with
+        the frontier rule of the module docstring, and each of its terms
+        and its frontier are shifted by -g0 and scaled by lead^-1."""
+        g0, lead = self._resolve(node)
+        gadd, gneg, _ = group_ops(node.group)
         ops = field_ops(node.field)
-        base, frontier = self._eval(node.base, bound if zero < bound else zero)
-        if not base:
-            if frontier is None:
-                return ((zero, ops.one),) if not zero > bound else (), None
-            raise TermBudgetExceeded(
-                "geometric tail base could not be enumerated within the term budget"
-            )
-        m = base[0][0]
-        if not zero < m:
-            raise PreconditionViolation(
-                f"geometric tail base has leading exponent {box_exponent(node.group, m)} <= 0"
-            )
-        strict = frontier is not None and not bound < frontier
-        limit = frontier if strict else bound
-        gens = [g for g, _ in base]
-        eps = [c for _, c in base]
         add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+        zero = group_zero(node.group).value
+        top = gadd(bound, g0)
+        # evaluated through g0 at least, so the lead is listed
+        child, frontier = self._eval(node.child, gadd(top if zero < top else zero, g0))
+        shift = gneg(g0)
+        if frontier is not None:
+            if len(child) < 2:
+                raise TermBudgetExceeded(
+                    "geometric tail base could not be enumerated within the term budget"
+                )
+            frontier = gadd(frontier, shift)  # the frontier of eps
+        factor = ops.inv(ops.neg(lead))
+        gens = [gadd(g, shift) for g, _ in child[1:]]
+        eps = [mul(factor, c) for _, c in child[1:]]
+        scale = ops.inv(lead)
+        strict = frontier is not None and not top < frontier
+        limit = frontier if strict else top
         cap = self.horizon.term_bound
         values = []
         terms = []
@@ -704,9 +695,9 @@ class EvaluationContext:
             values.append(c)
             if not is_zero(c):
                 if len(terms) == cap:
-                    return tuple(terms), g
-                terms.append((g, c))
-        return tuple(terms), frontier
+                    return tuple(terms), gadd(g, shift)
+                terms.append((gadd(g, shift), mul(scale, c)))
+        return tuple(terms), None if frontier is None else gadd(frontier, shift)
 
 
 def closure_walk(group: GroupDescriptor, gens, limit, strict: bool):
@@ -782,7 +773,7 @@ def invert(b: Series, horizon: Horizon | None = None,
     """
     node = Inverse(b, witness)
     if horizon is not None:
-        EvaluationContext(horizon).resolve_inversion(node)
+        EvaluationContext(horizon)._resolve(node)
     return node
 
 
@@ -794,16 +785,20 @@ def support_up_to(s: Series, horizon: Horizon) -> list[GroupElement]:
     return list(coefficients_up_to(s, horizon).support())
 
 
-def vmin(s: Series, horizon: Horizon) -> GroupElement:
-    """Least support exponent found at or below the horizon bound."""
-    tl = coefficients_up_to(s, horizon)
+def least_exponent(tl: TermList, exp_bound: GroupElement) -> GroupElement:
+    """The first exponent of a TermList evaluated up to exp_bound; an
+    empty one raises ZeroUpToHorizon when complete and TermBudgetExceeded
+    when truncated."""
     if tl.terms:
         return tl.terms[0][0]
     if tl.complete:
-        raise ZeroUpToHorizon(
-            f"no nonzero coefficient at or below {horizon.exp_bound}"
-        )
+        raise ZeroUpToHorizon(f"no nonzero coefficient at or below {exp_bound}")
     raise TermBudgetExceeded("support enumeration hit the term budget")
+
+
+def vmin(s: Series, horizon: Horizon) -> GroupElement:
+    """Least support exponent found at or below the horizon bound."""
+    return least_exponent(coefficients_up_to(s, horizon), horizon.exp_bound)
 
 
 def coefficient_at(s: Series, g: GroupElement, horizon: Horizon) -> FieldElement:

@@ -231,12 +231,14 @@ def verify_fp_gap(p: int, h: Horizon | None = None) -> Report:
     one = fld.one
     z = INTEGERS.element
     b = from_terms(INTEGERS, fld, [(z(0), one), (z(1), -one), (z(p), one)])  # 1 - t + t^p
-    # one evaluation, reaching p when the horizon stops short of it
-    tl = EvaluationContext(h).coefficients(invert(b), max(h.exp_bound, z(p)))
+    # the inverse and the closure both reach p when the horizon stops short of it
+    reach = max(h.exp_bound, z(p))
+    tl = EvaluationContext(h).coefficients(invert(b), reach)
     if not tl.complete and not z(p) < tl.frontier:
         raise TermBudgetExceeded(f"coefficient at {p} not certain within budget")
     coeff = tl.coefficient_at(z(p)) or fld.zero
-    closure = finite_sums_closure(explicit_support(INTEGERS, [z(1), z(p)]), h)
+    closure = finite_sums_closure(explicit_support(INTEGERS, [z(1), z(p)]),
+                                  Horizon(reach, h.term_bound))
     in_closure = z(p) in closure.points
     prefix = ",".join(str(g) for g in tl.support() if not g > h.exp_bound)
     details = {

@@ -10,9 +10,12 @@ import pytest
 
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, RATIONALS, lex_product
+from hahnseries.errors import TermBudgetExceeded
 from hahnseries.series import (
-    GeometricTail,
+    EvaluationContext,
     Horizon,
+    Inverse,
+    children,
     coefficients_up_to,
     equal_up_to,
     from_terms,
@@ -135,12 +138,60 @@ def test_inverse_of_a_truncated_eps_lists_only_exact_terms(term_bound):
 def test_tail_stays_below_the_frontier_of_its_base():
     # base = t^2 - t^8 exactly, but with a budget of 5 terms the two long
     # literals whose difference is -t^8 are cut at 8, so the base is known
-    # only below 8; sum(base^n) has coefficient 0 at 8, which the walk must
-    # not claim
+    # only below 8; (1 - base)^-1 = sum(base^n) has coefficient 0 at 8,
+    # which the walk must not claim
     z = INTEGERS.element
     long_lit = from_terms(INTEGERS, QQ, [(z(k), QQ.one) for k in range(3, 51)])
     other = from_terms(INTEGERS, QQ, [(z(k), QQ.element(2 if k == 8 else 1)) for k in range(3, 51)])
     base = from_terms(INTEGERS, QQ, [(z(2), QQ.one)]) + (long_lit - other)
-    tl = coefficients_up_to(GeometricTail(base), Horizon(z(20), 5))
+    tl = coefficients_up_to(invert(one_series(INTEGERS, QQ) - base), Horizon(z(20), 5))
     assert not tl.complete and tl.frontier == z(8)
     assert [(g.value, c.value) for g, c in tl.terms] == [(0, 1), (2, 1), (4, 1), (6, 1)]
+
+
+@pytest.mark.parametrize("p", [None, 5])
+@pytest.mark.parametrize("g0", [-3, 2])
+@pytest.mark.parametrize("term_bound", range(1, 7))
+def test_a_truncated_shifted_inverse_matches_the_shifted_oracle(p, g0, term_bound):
+    # b = t^g0 * (lead + c_1 t + ... + c_12 t^12) with lead != 1: with a
+    # budget below 13 terms eps is known only below t^term_bound, so the
+    # inverse is exact below t^(term_bound - g0) and nothing is claimed on
+    fld = QQ if p is None else F5
+    dense_fld = DenseField(p)
+    rng = random.Random(f"{p}:{g0}:{term_bound}")
+    lead = Fraction(-2, 3) if p is None else 3
+    pairs = [(0, lead)] + [(k, _coef(rng, p)) for k in range(1, 13)]
+    b = from_terms(INTEGERS, fld, [(INTEGERS.element(e + g0), fld.element(c)) for e, c in pairs])
+    h = Horizon(INTEGERS.element(20), term_bound)
+    if term_bound == 1:
+        # only the lead is listed, so eps is empty but truncated
+        with pytest.raises(TermBudgetExceeded):
+            coefficients_up_to(invert(b), h)
+        return
+    tl = coefficients_up_to(invert(b), h)
+    assert not tl.complete and tl.frontier == INTEGERS.element(term_bound - g0)
+    exact = dense_pairs(dense_inv(dense(pairs, 21, dense_fld), dense_fld), dense_fld)
+    assert [(g.value, c.value) for g, c in tl.terms] == [
+        (e - g0, c) for e, c in exact if e < term_bound
+    ]
+
+
+def test_an_inverse_leaves_memo_entries_only_for_itself_and_its_subexpressions():
+    z = INTEGERS.element
+    x = from_terms(INTEGERS, QQ, [(z(-1), QQ.element(2)), (z(1), QQ.one)])
+    b = x * x + x * from_terms(INTEGERS, QQ, [(z(2), QQ.one)])
+    node = Inverse(b)
+    reachable, stack = {node}, [b]
+    while stack:
+        n = stack.pop()
+        if n not in reachable:
+            reachable.add(n)
+            stack.extend(children(n))
+    ctx = EvaluationContext(Horizon(z(12), 6))
+    ctx.coefficients(node)
+    ctx.coefficients(node, z(3))
+    assert node in ctx._complete_cache or any(k[0] is node for k in ctx._exact_cache)
+    assert set(ctx._complete_cache) <= reachable
+    assert set(ctx._vmin_bounds) <= reachable
+    assert {k[0] for k in ctx._exact_cache} <= reachable
+    assert ctx._inversions == {node: (-2, Fraction(4))}

@@ -20,7 +20,6 @@ from hahnseries.parser import (
     render_expression,
 )
 from hahnseries.series import (
-    GeometricTail,
     Horizon,
     Inverse,
     Literal,
@@ -424,7 +423,6 @@ def test_render_rejects_nodes_the_grammar_cannot_write():
     one = Monomial(QQ.one, INTEGERS.element(1))
     for node in (
         Literal(INTEGERS, QQ, [(INTEGERS.element(1), QQ.one)]),
-        GeometricTail(one),
         Truncation(one, INTEGERS.element(2), inclusive=True),
     ):
         with pytest.raises(TypeError):

@@ -7,7 +7,6 @@ import pytest
 from hahnseries.errors import (
     DescriptorMismatch,
     InvalidWitness,
-    PreconditionViolation,
     TermBudgetExceeded,
     ZeroUpToHorizon,
 )
@@ -15,7 +14,6 @@ from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, TRIVIAL, lex_product
 from hahnseries.series import (
     EvaluationContext,
-    GeometricTail,
     Horizon,
     Neg,
     Sum,
@@ -212,15 +210,6 @@ def test_support_and_projections():
     assert [g.value for g in support_up_to(s, H(10))] == [2, 3]
     assert coefficient_at(s, zq(5), H(10)).is_zero
     assert coefficient_at(s, zq(3), H(10)) == qq(1)
-
-
-def test_geometric_tail_precondition():
-    base = poly((0, 1))
-    with pytest.raises(PreconditionViolation):
-        coefficients_up_to(GeometricTail(base), H(5))
-    base = poly((-1, 1))
-    with pytest.raises(PreconditionViolation):
-        coefficients_up_to(GeometricTail(base), H(5))
 
 
 def test_descriptor_mismatch():

@@ -114,6 +114,18 @@ def test_fp_gap(p):
     assert r.details["p_in_sum_closure"] is True
 
 
+@pytest.mark.parametrize("p,bound", [(5, 3), (7, 2), (3, 1), (2, 0)])
+def test_fp_gap_passes_with_a_horizon_below_p(p, bound):
+    # the sum closure of {1, p} is enumerated as far as the coefficient
+    # at p is evaluated, so it holds p although the horizon stops short
+    r = verify_fp_gap(p, Horizon(zq(bound)))
+    assert r.status == "bounded-pass"
+    assert r.details["coefficient_at_p"].is_zero
+    assert r.details["p_in_sum_closure"] is True
+    # below p the inverse of 1 - t + t^p is 1 + t + t^2 + ...
+    assert r.details["inverse_support_prefix"] == "{" + ",".join(map(str, range(bound + 1))) + "}"
+
+
 def test_fp_gap_f2_expansion_matches_rational_function():
     # over F_2 the inverse of 1 + t + t^2 equals (1+t)/(1+t^3):
     # support {0,1} + 3N, so exponent 2 is missing
