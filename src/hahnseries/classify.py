@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .conditions import CONDITION_NAMES, check_condition
 from .fields import FieldDescriptor
-from .supports import DEFAULT_BUDGET, Family, SearchBudget
+from .supports import Family
 
 YES = "yes"
 NO = "no"
@@ -95,19 +95,8 @@ class Classification:
         }
 
 
-def _status(conds, names):
-    for n in names:
-        if conds[n].fails:
-            return "fails", n
-    for n in names:
-        if conds[n].unknown:
-            return "unknown", n
-    return "holds", None
-
-
-def classify_khull(fld: FieldDescriptor, family: Family,
-                   budget: SearchBudget = DEFAULT_BUDGET) -> Classification:
-    conds = {name: check_condition(family, name, budget) for name in CONDITION_NAMES}
+def classify_khull(fld: FieldDescriptor, family: Family) -> Classification:
+    conds = {name: check_condition(family, name) for name in CONDITION_NAMES}
     char = fld.characteristic
     k_is_f2 = fld.kind == "Fp" and fld.p == 2
     assumptions = {
@@ -118,14 +107,12 @@ def classify_khull(fld: FieldDescriptor, family: Family,
     flags: dict[str, Flag] = {}
 
     def conditional_flag(names, yes_rule, no_rule, converse_ok, converse_blocker):
-        st, which = _status(conds, names)
-        if st == "holds":
+        which = next((n for n in names if conds[n].fails), None)
+        if which is None:
             return Flag(YES, rule=yes_rule)
-        if st == "fails":
-            if converse_ok:
-                return Flag(NO, rule=no_rule, witness=(which, conds[which].witness))
-            return Flag(UNDECIDED, reason=converse_blocker)
-        return Flag(UNDECIDED, reason=f"condition {which} undecided within budget")
+        if converse_ok:
+            return Flag(NO, rule=no_rule, witness=(which, conds[which].witness))
+        return Flag(UNDECIDED, reason=converse_blocker)
 
     flags["additive_subgroup"] = conditional_flag(
         GROUP_SET,

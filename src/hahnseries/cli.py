@@ -4,9 +4,11 @@ Subcommands: eval, invert, support, vmin, trunc, check-family, classify,
 suite.  ``COMMANDS`` lists each one with its handler and the arguments it
 reads; a flag a subcommand does not read is a usage error.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 term budget
-exceeded, membership undecided within budget, or an expression nesting
-too deeply to parse or evaluate.  Errors go to stderr.  Repeated runs
-print the same bytes; for ``suite``, runs with the same ``--seed`` do.
+exceeded, an expression nesting too deeply to parse or evaluate, or
+memory running out.  Errors and usage messages go to stderr, ``--help``
+to stdout: to the ``err`` and ``out`` streams given to ``main``.
+Repeated runs print the same bytes; for ``suite``, runs with the same
+``--seed`` do.
 Expressions, exponents and family descriptors are all read by
 ``parser``.
 """
@@ -14,6 +16,7 @@ Expressions, exponents and family descriptors are all read by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -21,12 +24,7 @@ import sys
 
 from .classify import FLAG_NAMES, classify_khull
 from .conditions import CONDITION_NAMES, check_condition
-from .errors import (
-    HahnSeriesError,
-    ParseError,
-    TermBudgetExceeded,
-    UnknownWithinBudget,
-)
+from .errors import HahnSeriesError, ParseError, TermBudgetExceeded
 from .fields import FieldDescriptor, prime_field, rational_functions
 from .groups import INTEGERS, RATIONALS, TRIVIAL, GroupDescriptor, lex_product
 from .parser import default_bound, parse_expression, parse_exponent_text, parse_family_text
@@ -257,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -267,11 +265,14 @@ def main(argv=None, out=None, err=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (TermBudgetExceeded, UnknownWithinBudget) as exc:
+    except TermBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=err)
         return EXIT_BUDGET
     except RecursionError:
         print("budget exceeded: expression nests too deeply to evaluate", file=err)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=err)
         return EXIT_BUDGET
     except (HahnSeriesError, ZeroDivisionError, ValueError) as exc:
         print(f"verification failure: {exc}", file=err)

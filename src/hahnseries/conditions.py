@@ -4,12 +4,11 @@ On a W- or FIN-family over a region S each condition reduces to one
 property of S: S4 asks whether 0 is in S, S1 and A3 whether S = G, A5
 whether S = -S and A4 whether S has a positive element.  One table over
 the region kinds (``_region_facts``) gives the last three, exactly for
-the whole group, cones, finite sets and subgroups, and for submonoids
-whenever sign analysis or a bounded group-detection settles it.
-Explicit finite families are decided by brute force over their members,
-and always decided.  A verdict either holds with a named rule, fails
-with a concrete re-checkable witness, or, for a region family, stays
-unknown within the budget.
+every kind: a submonoid is a group, or has a generator whose negation
+lies outside it, by one rational cone test per generator.  Explicit
+finite families are decided by brute force over their members.  Every
+verdict either holds with a named rule or fails with a concrete
+re-checkable witness.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .supports import (
     SupportSet,
     family_contains,
     finite_sums_closure,
-    monoid_is_group,
+    lineality_generators,
     region_contains,
 )
 
@@ -90,16 +89,12 @@ def _fails(witness, note=""):
     return Verdict(FAILS, witness=witness, note=note)
 
 
-def _unknown(note):
-    return Verdict(UNKNOWN, note=note)
-
-
 def _singleton(group, g) -> SupportSet:
     return SupportSet(group, (g,))
 
 
 # ---------------------------------------------------------------------------
-# region analysis; tri-state with witnesses
+# region analysis, with witnesses
 
 _YES = (True, None)
 
@@ -108,14 +103,13 @@ def _refuted_by(witness):
     return _YES if witness is None else (False, witness)
 
 
-def _region_facts(region: Region, budget: SearchBudget):
+def _region_facts(region: Region):
     """The region properties S1-A5 reduce to: ``(whole, symmetric, positive)``.
 
     ``whole`` says whether S = G and ``symmetric`` whether S = -S, each as
-    (True, None), (False, witness) or (None, None) when the bounded search
-    cannot tell.  A ``whole`` witness lies outside S; a ``symmetric``
-    witness g lies in S while -g does not.  ``positive`` is a strictly
-    positive element of S, or None.
+    (True, None) or (False, witness).  A ``whole`` witness lies outside S;
+    a ``symmetric`` witness g lies in S while -g does not.  ``positive`` is
+    a strictly positive element of S, or None.
     """
     group = region.group
     zero = group_zero(group)
@@ -136,15 +130,15 @@ def _region_facts(region: Region, budget: SearchBudget):
             next((e for e in reversed(elements) if zero < e), None),
         )
     gens = [e for e in region.elements if not e.is_zero]
-    is_group = kind == SUBGROUP or monoid_is_group(gens, budget)
-    if is_group:
+    # a monoid is a group unless some generator's negation lies outside
+    # its cone, and so outside it
+    lineality = gens if kind == SUBGROUP else lineality_generators(gens)
+    outside = next((e for e in gens if e not in lineality), None)
+    if outside is None:
         positive = max(gens[0], -gens[0]) if gens else None
         return generates_whole_group(gens, group), _YES, positive
     positive = next((e for e in gens if zero < e), None)
-    if is_group is None:
-        return (None, None), (None, None), positive
-    # one sign: no generator's inverse is a sum
-    return (False, -gens[0]), (False, gens[0]), positive
+    return (False, -outside), (False, outside), positive
 
 
 def _region_sample(region: Region) -> GroupElement | None:
@@ -172,15 +166,17 @@ def _region_add_closed(region: Region):
 
 def check_condition(family: Family, condition: str,
                     budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
+    """The verdict of one condition on the family.  Every condition is
+    decided exactly, so ``budget`` is unused; it stays for callers that
+    pass one."""
     if condition not in CONDITION_NAMES:
         raise ValueError(f"unknown condition {condition!r}")
     if family.kind in (W_FAMILY, FIN_FAMILY):
-        return _check_region_family(family, condition, budget)
-    return _check_explicit_family(family, condition, budget)
+        return _check_region_family(family, condition)
+    return _check_explicit_family(family, condition)
 
 
-def _check_region_family(family: Family, condition: str,
-                         budget: SearchBudget) -> Verdict:
+def _check_region_family(family: Family, condition: str) -> Verdict:
     region = family.region
     group = family.group
     zero = group_zero(group)
@@ -196,16 +192,14 @@ def _check_region_family(family: Family, condition: str,
         return _holds("initial-segments-are-subsets")
 
     if condition == "S4":
-        if region_contains(region, zero, budget):
+        if region_contains(region, zero):
             return _holds("zero-in-region")
         return _fails(_singleton(group, zero), "zero is outside the region")
 
     if condition == "S1":
-        (whole, witness), _, _ = _region_facts(region, budget)
+        (whole, witness), _, _ = _region_facts(region)
         if whole:
             return _holds("region-is-whole-group")
-        if whole is None:
-            return _unknown("region extent undecided within budget")
         return _fails(_singleton(group, witness), f"{witness} is outside the region")
 
     if condition == "A1":
@@ -231,24 +225,22 @@ def _check_region_family(family: Family, condition: str,
         sample = _region_sample(region)
         if sample is None:
             return _holds("empty-region-family-is-translation-stable")
-        (whole, outside), _, _ = _region_facts(region, budget)
+        (whole, outside), _, _ = _region_facts(region)
         if whole:
             return _holds("whole-group-is-translation-stable")
-        if whole is None:
-            return _unknown("region extent undecided within budget")
         return _fails(
             _singleton(group, outside),
             f"translate {{{sample}}} by {outside - sample}",
         )
 
     if condition == "A4":
-        if not region_contains(region, zero, budget):
+        if not region_contains(region, zero):
             return _fails(
                 SupportSet(group, ()),
                 "sum closure of the empty set is {0}, which is not a member",
             )
         if finite_only or region.kind == FINITE:
-            _, _, positive = _region_facts(region, budget)
+            _, _, positive = _region_facts(region)
             if positive is None:
                 return _holds("no-positive-elements-to-sum")
             escape = "is infinite" if finite_only else "escapes the finite region"
@@ -259,11 +251,9 @@ def _check_region_family(family: Family, condition: str,
         return _holds("region-closed-under-nonnegative-sums")
 
     # A5
-    _, (symmetric, witness), _ = _region_facts(region, budget)
+    _, (symmetric, witness), _ = _region_facts(region)
     if symmetric:
         return _holds("region-symmetric-on-singletons")
-    if symmetric is None:
-        return _unknown("region symmetry undecided within budget")
     return _fails(witness, f"{{{witness}}} is a member but {{{-witness}}} is not")
 
 
@@ -284,8 +274,7 @@ def _member_union_generators(family: Family) -> list[GroupElement]:
     return list(dict.fromkeys(p for m in family.members for p in m))
 
 
-def _check_explicit_family(family: Family, condition: str,
-                           budget: SearchBudget) -> Verdict:
+def _check_explicit_family(family: Family, condition: str) -> Verdict:
     """Brute force over the members, on the family's raw member index.
 
     Members are visited in the order of ``family.members``; only the
@@ -418,7 +407,8 @@ def _check_explicit_family(family: Family, condition: str,
 def witness_refutes(family: Family, condition: str, verdict: Verdict,
                     budget: SearchBudget = DEFAULT_BUDGET) -> bool:
     """Confirm that a Fails witness is a genuine violation of the
-    condition, using family_contains and the condition's definition."""
+    condition, using family_contains and the condition's definition.
+    ``budget`` is unused, as in ``check_condition``."""
     if not verdict.fails:
         raise ValueError("only Fails verdicts carry witnesses")
     group = family.group
@@ -429,7 +419,7 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
     )
 
     def contains(ss: SupportSet) -> bool:
-        return family_contains(family, ss, budget)
+        return family_contains(family, ss)
 
     w = verdict.witness
     raw_members = family.raw_members  # () for region families
@@ -500,9 +490,6 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
             return any(zero < p for p in w.points)
         if family.kind == FIN_FAMILY:
             return True  # a non-entire closure is not a finite set
-        return any(
-            region_contains(family.region, p, budget) is False
-            for p in closure.points
-        )
+        return not all(region_contains(family.region, p) for p in closure.points)
     # A5
     return contains(_singleton(group, w)) and not contains(_singleton(group, -w))

@@ -40,7 +40,9 @@ class NotInNonNegCone(HahnSeriesError):
 
 
 class UnknownWithinBudget(HahnSeriesError):
-    """A bounded search ended without settling membership either way."""
+    """A bounded search ended without settling a question either way.
+    Every membership test is exact, so no procedure raises it; the name
+    stays for callers that catch it."""
 
 
 class InvalidWitness(HahnSeriesError):

@@ -10,13 +10,14 @@ bound discipline as series evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DescriptorMismatch,
     FieldTooSmall,
     NotInNonNegCone,
     TermBudgetExceeded,
-    UnknownWithinBudget,
 )
 from .fields import FieldDescriptor
 from .groups import (
@@ -31,9 +32,9 @@ from .series import Horizon, Literal, Series, TermList, closure_walk
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for the bounded searches behind membership and conditions."""
+    """The cap on the closure probes of ``verify``; membership and the
+    conditions are decided exactly and take no budget."""
 
-    monoid_sum_length: int = 12
     enumeration_cap: int = 4096
     seed: int = 0
 
@@ -161,55 +162,76 @@ def finite_region(group, elems) -> Region:
     return Region(group, FINITE, tuple(sorted(set(elems))))
 
 
-def _monoid_reachable(gens, target, max_len) -> bool:
-    """Breadth-first search for target as a sum of at most max_len
-    generators."""
-    zero = group_zero(target.descriptor)
-    if target == zero:
-        return True
-    seen = {zero}
-    frontier = [zero]
-    for _ in range(max_len):
-        nxt = []
-        for base in frontier:
-            for g in gens:
-                s = base + g
-                if s == target:
-                    return True
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
+def _cone_vector(e: GroupElement) -> tuple:
+    """The raw value of e as a vector: Z, Q and the trivial group are Z^1."""
+    return e.value if isinstance(e.value, tuple) else (e.value,)
 
 
-def monoid_is_group(gens, budget: SearchBudget = DEFAULT_BUDGET) -> bool | None:
-    """Whether the submonoid generated by gens is a group.
+def _in_cone(columns, target) -> bool:
+    """Whether the vector target is a nonnegative rational combination of
+    the column vectors: phase one of the simplex method.
 
-    True when every generator's inverse is a sum of at most
-    ``budget.monoid_sum_length`` generators, and when no generator is
-    nonzero.  False when all nonzero generators have one sign: sums of
-    positive elements stay positive (and of negative ones negative), so
-    no generator's inverse is reachable.  None when the generators have
-    both signs and the bounded search cannot tell.
+    Each row is kept as a positive integer multiple of its tableau row,
+    which changes no sign and no ratio within a row.  Rows start on
+    artificial variables; Bland's rule picks the entering column and the
+    leaving row, and an artificial that leaves never re-enters, so the
+    loop ends.  ``objective`` is the sum of the artificials, zero exactly
+    when target is in the cone.
     """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return True
-    zero = group_zero(gens[0].descriptor)
-    if all(zero < g for g in gens) or all(g < zero for g in gens):
-        return False
-    for g in gens:
-        if not _monoid_reachable(gens, -g, budget.monoid_sum_length):
-            return None
+    k = len(columns)
+    rows = []
+    for i, b in enumerate(target):
+        row = [c[i] for c in columns] + [b]
+        scale = lcm(*(x.denominator for x in row)) * (-1 if b < 0 else 1)
+        rows.append([int(x * scale) for x in row])
+    objective = [sum(column) for column in zip(*rows)]
+    basis = [k + i for i in range(len(rows))]
+    while objective[k]:
+        entering = next((j for j in range(k) if objective[j] > 0), None)
+        if entering is None:
+            return False
+        _, _, i = min((Fraction(row[k], row[entering]), basis[i], i)
+                      for i, row in enumerate(rows) if row[entering] > 0)
+        pivot = rows[i]
+        a = pivot[entering]
+        for row in (*rows, objective):
+            f = row[entering]
+            if row is not pivot and f:
+                row[:] = [a * x - f * y for x, y in zip(row, pivot)]
+        basis[i] = entering
     return True
 
 
-def region_contains(region: Region, g: GroupElement,
-                    budget: SearchBudget = DEFAULT_BUDGET) -> bool | None:
-    """Tri-state membership; None when a bounded search is inconclusive."""
+def lineality_generators(gens) -> list:
+    """The generators whose negation lies in the rational cone of gens.
+
+    They span the cone's lineality space, a face of it, so the monoid
+    they generate is a group: -e = sum q_j g_j with rational q_j >= 0
+    uses only them, and clearing denominators writes -e as a
+    nonnegative integer sum.
+    """
+    columns = [_cone_vector(e) for e in gens]
+    return [e for e in gens if _in_cone(columns, _cone_vector(-e))]
+
+
+def monoid_is_group(gens) -> bool:
+    """Whether the submonoid generated by gens is a group: exactly when
+    every generator's negation is a nonnegative rational combination of
+    the generators.  Otherwise, by Gordan's theorem of the alternative, a
+    functional is >= 0 on every generator and > 0 on one."""
+    return len(lineality_generators(gens)) == len(gens)
+
+
+def region_contains(region: Region, g: GroupElement) -> bool:
+    """Membership of g in the region; exact for every region kind.
+
+    For a submonoid M, g = s + l with s a sum of the generators outside
+    the lineality space and l in the group the others generate.  A
+    breadth-first walk lists the sums s with g - s in the cone of M;
+    there are finitely many, since the cone is pointed once the
+    lineality space is factored out, but their number grows with the
+    distance of g from 0.
+    """
     if g.descriptor != region.group:
         raise DescriptorMismatch("element uses a different group")
     zero = group_zero(region.group)
@@ -223,25 +245,23 @@ def region_contains(region: Region, g: GroupElement,
         return g in region.elements
     if region.kind == SUBGROUP:
         return subgroup_contains(list(region.elements), g)
-    # submonoid: inside the generated subgroup, and all of it when the
-    # monoid is a group; otherwise exact sign rules and a bounded search
     gens = [e for e in region.elements if not e.is_zero]
     if not subgroup_contains(gens, g):
         return False
-    if g.is_zero:
-        return True
-    is_group = monoid_is_group(gens, budget)
-    if is_group:
-        return True
-    if is_group is False and gens[0] < zero:
-        gens, g = [-e for e in gens], -g  # g is in mon(gens) iff -g is in mon(-gens)
-    if is_group is False and g < min(gens):
-        return False  # sums of positive generators are >= the least one
-    if _monoid_reachable(gens, g, budget.monoid_sum_length):
-        return True
-    if is_group is False and not min(gens).scale(budget.monoid_sum_length) < g:
-        return False  # g would be a sum of at most monoid_sum_length generators
-    return None
+    columns = [_cone_vector(e) for e in gens]
+    lineality = lineality_generators(gens)
+    pointed = [e for e in gens if e not in lineality]
+    seen = {zero}
+    queue = [zero]
+    for s in queue:
+        if subgroup_contains(lineality, g - s):
+            return True
+        for e in pointed:
+            t = s + e
+            if t not in seen and _in_cone(columns, _cone_vector(g - t)):
+                seen.add(t)
+                queue.append(t)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +429,7 @@ def explicit_family(group: GroupDescriptor, members) -> Family:
     ), raw_members=raw)
 
 
-def family_contains(F: Family, A: SupportSet,
-                    budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+def family_contains(F: Family, A: SupportSet) -> bool:
     """Membership of a support set in the family.
 
     For region families every enumerated point is tested against the
@@ -425,17 +444,8 @@ def family_contains(F: Family, A: SupportSet,
         if A.budget_hit:
             raise TermBudgetExceeded("cannot compare a truncated enumeration")
         return tuple(p.value for p in A.points) in F.raw_member_set
-    unknowns = []
-    for p in A.points:
-        verdict = region_contains(F.region, p, budget)
-        if verdict is False:
-            return False
-        if verdict is None:
-            unknowns.append(p)
-    if unknowns:
-        raise UnknownWithinBudget(
-            f"membership of {unknowns[0]} in {F.region} undecided within budget"
-        )
+    if not all(region_contains(F.region, p) for p in A.points):
+        return False
     if F.kind == W_FAMILY:
         if A.budget_hit:
             raise TermBudgetExceeded(

@@ -319,14 +319,13 @@ def refute_truncation_closure_f2(max_degree: int, h: Horizon) -> Report:
 # ---------------------------------------------------------------------------
 # equivalence of the nonemptiness-flavoured conditions
 
-def check_equivalence_lemma(F: Family,
-                            budget: SearchBudget = DEFAULT_BUDGET) -> Report:
+def check_equivalence_lemma(F: Family) -> Report:
     """Under S2, A4, A3 and a nontrivial group, the conditions S5, S4,
     S1 and A1 stand or fall together."""
     params = {"family": F}
     citation = "nonempty-zero-singletons-generation-equivalence"
-    hypotheses = {name: check_condition(F, name, budget) for name in ("S2", "A4", "A3")}
-    four = {name: check_condition(F, name, budget) for name in ("S5", "S4", "S1", "A1")}
+    hypotheses = {name: check_condition(F, name) for name in ("S2", "A4", "A3")}
+    four = {name: check_condition(F, name) for name in ("S5", "S4", "S1", "A1")}
     details = {name: str(v) for name, v in {**hypotheses, **four}.items()}
     nontrivial = F.group.kind != "trivial"
     details["group_nontrivial"] = nontrivial
@@ -336,11 +335,6 @@ def check_equivalence_lemma(F: Family,
         return Report(
             "equivalence-lemma", params, HYPOTHESIS_UNMET, citation,
             witness=f"hypothesis not established: {which}", details=details,
-        )
-    if any(v.unknown for v in four.values()):
-        return Report(
-            "equivalence-lemma", params, HYPOTHESIS_UNMET, citation,
-            witness="one of the four conditions is undecided", details=details,
         )
     outcomes = {v.holds for v in four.values()}
     if len(outcomes) == 1:
@@ -403,7 +397,7 @@ def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,
         raise FieldTooSmall("closure probing constructions need a field beyond F_2")
     params = {"field": fld, "family": F, "op": op}
     names, citation, probe_series = _CLOSURE_PROBES[op]
-    prediction = all(check_condition(F, n, budget).holds for n in names)
+    prediction = all(check_condition(F, n).holds for n in names)
     h = _probe_horizon(F)
     members = [SupportSet(F.group, m) for m in F.members]
     # the empty hull is not a group, so no members means not add-closed
@@ -415,7 +409,7 @@ def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,
         probes += 1
         if probes > budget.enumeration_cap:
             raise TermBudgetExceeded("probe budget exhausted")
-        if not family_contains(F, got, budget):
+        if not family_contains(F, got):
             closed = False
             violation = (A, B, got)
             break
@@ -481,7 +475,7 @@ CATALOG_EXPECTED = [
 ]
 
 
-def _trivial_rayner_reports(budget) -> list[tuple[str, bool]]:
+def _trivial_rayner_reports() -> list[tuple[str, bool]]:
     z = group_zero(TRIVIAL)
     rows = []
     for members, expected in (
@@ -491,24 +485,24 @@ def _trivial_rayner_reports(budget) -> list[tuple[str, bool]]:
         ([], "no"),
     ):
         F = explicit_family(TRIVIAL, members)
-        got = classify_khull(prime_field(2), F, budget).flag("rayner_field").value
+        got = classify_khull(prime_field(2), F).flag("rayner_field").value
         rows.append((f"{F} -> {got}", got == expected))
     return rows
 
 
-def catalog_classification_report(budget: SearchBudget = DEFAULT_BUDGET) -> Report:
+def catalog_classification_report() -> Report:
     """Golden classification table for the descriptor catalog, including
     the trivial-group picture where only {{},{0}} is a Rayner family."""
     mismatches = []
     rows = []
     for fld, fam, expected in CATALOG_EXPECTED:
-        c = classify_khull(fld, fam, budget)
+        c = classify_khull(fld, fam)
         for name, want in expected.items():
             got = c.flag(name).value
             rows.append(f"{fld}/{fam}: {name}={got}")
             if got != want:
                 mismatches.append(f"{fld}/{fam}: {name}={got}, expected {want}")
-    for row, ok in _trivial_rayner_reports(budget):
+    for row, ok in _trivial_rayner_reports():
         rows.append(f"trivial {row}")
         if not ok:
             mismatches.append(row)
@@ -627,7 +621,7 @@ def run_suite(seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET,
     z = INTEGERS.element
     reports: list[Report] = []
 
-    reports.append(catalog_classification_report(budget))
+    reports.append(catalog_classification_report())
 
     for p in (2, 3, 5, 7, 11, 13):
         reports.append(verify_fp_gap(p))
@@ -661,7 +655,7 @@ def run_suite(seed: int = 0, budget: SearchBudget = DEFAULT_BUDGET,
         well_ordered_family(nonneg_cone(INTEGERS)),
         explicit_family(INTEGERS, [[], [z(0)]]),
     ):
-        reports.append(check_equivalence_lemma(fam, budget))
+        reports.append(check_equivalence_lemma(fam))
 
     reports.append(closure_probe_agreement_batch(100, seed + 3, budget))
     reports.append(

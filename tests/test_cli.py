@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hahnseries import cli
 from hahnseries.cli import build_parser, main
 from oracle import DenseField, dense, dense_pairs
 
@@ -274,8 +275,9 @@ FLAG_VALUES = {"--seed": "1", "--exp-bound": "3", "--term-bound": "3", "--group"
 ])
 def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, flag, capsys):
     code, out, err = run_cli(*argv, flag, FLAG_VALUES[flag])
-    assert (code, out, err) == (2, "", "")
-    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in err
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("command, values, flags", [
@@ -299,7 +301,9 @@ def test_a_leading_minus_expression_prints_the_series():
     assert run_cli("eval", "-2*t^(1)") == (0, "-2*t^(1)\n", "")
     # an argument that names an option is still read as one
     assert run_cli("eval", "-h")[0] == 0
-    assert run_cli("eval", "--json") == (2, "", "")
+    code, out, err = run_cli("eval", "--json")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: expression\n")
 
 
 def test_repeated_main_calls_match_single_calls():
@@ -391,3 +395,21 @@ def test_too_deep_an_expression_exits_with_the_budget_code(expression):
     assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: expression nests too deeply to evaluate\n"
     assert "Traceback" not in proc.stderr
+
+
+def test_usage_errors_and_help_go_to_the_streams_main_is_given(capsys):
+    code, out, err = run_cli("eval")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hahnseries eval")
+    assert err.endswith("error: the following arguments are required: expression\n")
+    code, out, err = run_cli("check-family", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hahnseries check-family")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_running_out_of_memory_exits_with_the_budget_code(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "parse_expression", exhausted)
+    assert run_cli("eval", "t^(1)") == (3, "", "budget exceeded: out of memory\n")

@@ -303,12 +303,12 @@ def test_explicit_families_decide_s1_and_a3():
                 assert not check_condition(F, cond).unknown, (str(F), cond)
 
 
-def test_submonoid_beyond_budget_is_unknown():
-    # inverses of the generators are only reachable with >12 summands,
-    # so extent and symmetry stay undecided while the exact rules fire
+def test_submonoid_beyond_twelve_summands_is_decided():
+    # -7 = 99*7 + 7*(-100) and 100 = 100*7 + 6*(-100): the inverses need
+    # over 100 summands, yet the monoid is the group Z
     F = W(submonoid(INTEGERS, [zq(7), zq(-100)]))
     for cond in ("S1", "A3", "A5"):
-        assert check_condition(F, cond).unknown, cond
+        assert check_condition(F, cond).holds, cond
     assert check_condition(F, "A1").holds  # gcd(7,100) = 1, decided exactly
     assert check_condition(F, "A2").holds
     assert check_condition(F, "A4").holds
