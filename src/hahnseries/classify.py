@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import CONDITION_NAMES, check_condition
+from .conditions import check_conditions
 from .fields import FieldDescriptor
 from .supports import Family
 
@@ -96,7 +96,7 @@ class Classification:
 
 
 def classify_khull(fld: FieldDescriptor, family: Family) -> Classification:
-    conds = {name: check_condition(family, name) for name in CONDITION_NAMES}
+    conds = check_conditions(family)
     char = fld.characteristic
     k_is_f2 = fld.kind == "Fp" and fld.p == 2
     assumptions = {
@@ -155,9 +155,11 @@ def classify_khull(fld: FieldDescriptor, family: Family) -> Classification:
         ("S6",), "initial-segment-closed-family", "initial-segment-closed-family", True, None
     )
 
+    _propagate(flags)
     # identity: the hull contains the coefficient field iff {} and {0} are
     # members; a subring of a field can only have 1 itself as identity.
     # A subring has {} through S2 and S5, and {0} is a member iff S4 holds.
+    # The subring flag is read after the implications, which may decide it.
     ring = flags["subring"]
     if ring.no:
         flags["has_identity"] = Flag(NO, rule="not-a-subring")
@@ -170,8 +172,6 @@ def classify_khull(fld: FieldDescriptor, family: Family) -> Classification:
             NO, rule="coefficient-field-membership",
             witness=("membership", "{0}"),
         )
-
-    _propagate(flags)
     return Classification(fld, family, flags, conds, assumptions)
 
 
@@ -185,17 +185,11 @@ _UPWARD = (
 
 def _propagate(flags: dict):
     """Close the flag set under the unconditional implications: yes flows
-    up the chain, no flows back down.  Only undecided flags are filled;
-    decided flags are never overridden."""
-    changed = True
-    while changed:
-        changed = False
-        for stronger, weaker, rule in _UPWARD:
-            if flags[stronger].yes and flags[weaker].value == UNDECIDED:
-                flags[weaker] = Flag(YES, rule=rule)
-                changed = True
-            if flags[weaker].no and flags[stronger].value == UNDECIDED:
-                flags[stronger] = Flag(
-                    NO, rule=rule, witness=flags[weaker].witness
-                )
-                changed = True
+    up the chain, then no flows back down it.  Only undecided flags are
+    filled; decided flags are never overridden."""
+    for stronger, weaker, rule in _UPWARD:
+        if flags[stronger].yes and flags[weaker].value == UNDECIDED:
+            flags[weaker] = Flag(YES, rule=rule)
+    for stronger, weaker, rule in reversed(_UPWARD):
+        if flags[weaker].no and flags[stronger].value == UNDECIDED:
+            flags[stronger] = Flag(NO, rule=rule, witness=flags[weaker].witness)

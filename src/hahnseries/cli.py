@@ -23,7 +23,7 @@ import re
 import sys
 
 from .classify import FLAG_NAMES, classify_khull
-from .conditions import CONDITION_NAMES, check_condition
+from .conditions import CONDITION_NAMES, check_conditions
 from .errors import HahnSeriesError, ParseError, TermBudgetExceeded
 from .fields import FieldDescriptor, prime_field, rational_functions
 from .groups import INTEGERS, RATIONALS, TRIVIAL, GroupDescriptor, lex_product
@@ -132,11 +132,10 @@ def _run_check_family(args, out) -> int:
     group = parse_group_name(args.group)
     parse_field_name(args.field)  # rejected when malformed, though no condition reads it
     family = parse_family_text(args.family, group)
+    if args.condition != "all" and args.condition not in CONDITION_NAMES:
+        raise ParseError(f"unknown condition {args.condition!r}")
     names = CONDITION_NAMES if args.condition == "all" else (args.condition,)
-    for name in names:
-        if name not in CONDITION_NAMES:
-            raise ParseError(f"unknown condition {args.condition!r}")
-    verdicts = {name: check_condition(family, name) for name in names}
+    verdicts = check_conditions(family, names)
     if args.json:
         payload = {
             "family": str(family),

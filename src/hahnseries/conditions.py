@@ -2,13 +2,15 @@
 
 On a W- or FIN-family over a region S each condition reduces to one
 property of S: S4 asks whether 0 is in S, S1 and A3 whether S = G, A5
-whether S = -S and A4 whether S has a positive element.  One table over
-the region kinds (``_region_facts``) gives the last three, exactly for
-every kind: a submonoid is a group, or has a generator whose negation
-lies outside it, by one rational cone test per generator.  Explicit
-finite families are decided by brute force over their members.  Every
-verdict either holds with a named rule or fails with a concrete
-re-checkable witness.
+whether S = -S, A4 whether S has a positive element and A2 whether
+S + S lies in S.  One facts record (``_RegionFacts``), filled in one pass
+over the region kinds, holds them all, exactly for every kind: a
+submonoid is a group, or has a generator whose negation lies outside
+it, by one rational cone test per generator.  ``check_conditions``
+analyses the region once for any list of conditions, and
+``check_condition`` asks it for one.  Explicit finite families are
+decided by brute force over their members.  Every verdict either holds
+with a named rule or fails with a concrete re-checkable witness.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .supports import (
     POS,
     SUBGROUP,
     SUBMONOID,
-    W_FAMILY,
     WHOLE,
     Family,
     Region,
@@ -96,90 +97,86 @@ def _singleton(group, g) -> SupportSet:
 # ---------------------------------------------------------------------------
 # region analysis, with witnesses
 
-_YES = (True, None)
+@dataclass(frozen=True)
+class _RegionFacts:
+    """The properties of a region S that S1-A5 reduce to.  Each witness
+    field is None when its property holds: ``outside`` lies outside S
+    (S = G), ``asymmetric`` lies in S while its negation does not
+    (S = -S), and ``unclosed`` is a pair (s, t) of S with s + t outside S
+    (S + S in S).  ``positive`` is a strictly positive element of S and
+    ``sample`` any element, each None when S has none."""
+    has_zero: bool
+    outside: GroupElement | None
+    asymmetric: GroupElement | None
+    positive: GroupElement | None
+    sample: GroupElement | None
+    unclosed: tuple | None
 
 
-def _refuted_by(witness):
-    return _YES if witness is None else (False, witness)
-
-
-def _region_facts(region: Region):
-    """The region properties S1-A5 reduce to: ``(whole, symmetric, positive)``.
-
-    ``whole`` says whether S = G and ``symmetric`` whether S = -S, each as
-    (True, None) or (False, witness).  A ``whole`` witness lies outside S;
-    a ``symmetric`` witness g lies in S while -g does not.  ``positive`` is
-    a strictly positive element of S, or None.
-    """
+def _region_facts(region: Region) -> _RegionFacts:
+    """All the facts of the region, in one pass over its kind."""
     group = region.group
     zero = group_zero(group)
     unit = unit_sample(group)
     kind = region.kind
     if kind == WHOLE:
-        return _YES, _YES, unit
+        return _RegionFacts(True, None, None, unit, zero, None)
     if kind == NONNEG:
-        return _refuted_by(None if unit is None else -unit), _refuted_by(unit), unit
+        return _RegionFacts(True, None if unit is None else -unit, unit, unit, zero, None)
     if kind == POS:
-        return (False, zero), _refuted_by(unit), unit
+        return _RegionFacts(False, zero, unit, unit, unit, None)
     if kind == FINITE:
         elements = region.elements
         probe = (box_exponent(group, v) for v in _probe_values(group, len(elements) + 1))
-        return (
-            _refuted_by(next((g for g in probe if g not in elements), None)),
-            _refuted_by(next((e for e in elements if -e not in elements), None)),
+        return _RegionFacts(
+            zero in elements,
+            next((g for g in probe if g not in elements), None),
+            next((e for e in elements if -e not in elements), None),
             next((e for e in reversed(elements) if zero < e), None),
+            elements[0] if elements else None,
+            next(((s, t) for s in elements for t in elements if s + t not in elements), None),
         )
     gens = [e for e in region.elements if not e.is_zero]
     # a monoid is a group unless some generator's negation lies outside
     # its cone, and so outside it
     lineality = gens if kind == SUBGROUP else lineality_generators(gens)
-    outside = next((e for e in gens if e not in lineality), None)
-    if outside is None:
+    asymmetric = next((e for e in gens if e not in lineality), None)
+    if asymmetric is None:
+        _, outside = generates_whole_group(gens, group)
         positive = max(gens[0], -gens[0]) if gens else None
-        return generates_whole_group(gens, group), _YES, positive
-    positive = next((e for e in gens if zero < e), None)
-    return (False, -outside), (False, outside), positive
-
-
-def _region_sample(region: Region) -> GroupElement | None:
-    """Some element of the region, or None when it is empty."""
-    zero = group_zero(region.group)
-    if region.kind in (WHOLE, NONNEG, SUBGROUP, SUBMONOID):
-        return zero
-    if region.kind == POS:
-        return unit_sample(region.group)
-    return region.elements[0] if region.elements else None
-
-
-def _region_add_closed(region: Region):
-    """Whether S + S is contained in S: (True, None) or (False, (s, t))."""
-    if region.kind == FINITE:
-        for s in region.elements:
-            for t in region.elements:
-                if s + t not in region.elements:
-                    return False, (s, t)
-    return True, None
+    else:
+        outside = -asymmetric
+        positive = next((e for e in gens if zero < e), None)
+    return _RegionFacts(True, outside, asymmetric, positive, zero, None)
 
 
 # ---------------------------------------------------------------------------
 # the checker
+
+def check_conditions(family: Family, names=CONDITION_NAMES) -> dict[str, Verdict]:
+    """The verdicts of the named conditions on the family, in the order
+    of ``names``.  A region family's region is analysed once for all of
+    them."""
+    for name in names:
+        if name not in CONDITION_NAMES:
+            raise ValueError(f"unknown condition {name!r}")
+    if family.kind == EXPLICIT_FAMILY:
+        return {name: _check_explicit_family(family, name) for name in names}
+    facts = _region_facts(family.region)
+    return {name: _check_region_family(family, facts, name) for name in names}
+
 
 def check_condition(family: Family, condition: str,
                     budget: SearchBudget = DEFAULT_BUDGET) -> Verdict:
     """The verdict of one condition on the family.  Every condition is
     decided exactly, so ``budget`` is unused; it stays for callers that
     pass one."""
-    if condition not in CONDITION_NAMES:
-        raise ValueError(f"unknown condition {condition!r}")
-    if family.kind in (W_FAMILY, FIN_FAMILY):
-        return _check_region_family(family, condition)
-    return _check_explicit_family(family, condition)
+    return check_conditions(family, (condition,))[condition]
 
 
-def _check_region_family(family: Family, condition: str) -> Verdict:
+def _check_region_family(family: Family, facts: _RegionFacts, condition: str) -> Verdict:
     region = family.region
     group = family.group
-    zero = group_zero(group)
     finite_only = family.kind == FIN_FAMILY
 
     if condition == "S2":
@@ -192,15 +189,15 @@ def _check_region_family(family: Family, condition: str) -> Verdict:
         return _holds("initial-segments-are-subsets")
 
     if condition == "S4":
-        if region_contains(region, zero):
+        if facts.has_zero:
             return _holds("zero-in-region")
-        return _fails(_singleton(group, zero), "zero is outside the region")
+        return _fails(_singleton(group, group_zero(group)), "zero is outside the region")
 
+    outside = facts.outside
     if condition == "S1":
-        (whole, witness), _, _ = _region_facts(region)
-        if whole:
+        if outside is None:
             return _holds("region-is-whole-group")
-        return _fails(_singleton(group, witness), f"{witness} is outside the region")
+        return _fails(_singleton(group, outside), f"{outside} is outside the region")
 
     if condition == "A1":
         if region.kind in (WHOLE, NONNEG, POS):
@@ -212,21 +209,19 @@ def _check_region_family(family: Family, condition: str) -> Verdict:
         return _fails(witness, "outside the subgroup generated by the region")
 
     if condition == "A2":
-        closed, pair = _region_add_closed(region)
-        if closed:
+        if facts.unclosed is None:
             return _holds("region-closed-under-addition")
-        s, t = pair
+        s, t = facts.unclosed
         return _fails(
             _singleton(group, s + t),
             f"{{{s}}} (+) {{{t}}} leaves the region",
         )
 
     if condition == "A3":
-        sample = _region_sample(region)
+        sample = facts.sample
         if sample is None:
             return _holds("empty-region-family-is-translation-stable")
-        (whole, outside), _, _ = _region_facts(region)
-        if whole:
+        if outside is None:
             return _holds("whole-group-is-translation-stable")
         return _fails(
             _singleton(group, outside),
@@ -234,13 +229,13 @@ def _check_region_family(family: Family, condition: str) -> Verdict:
         )
 
     if condition == "A4":
-        if not region_contains(region, zero):
+        if not facts.has_zero:
             return _fails(
                 SupportSet(group, ()),
                 "sum closure of the empty set is {0}, which is not a member",
             )
         if finite_only or region.kind == FINITE:
-            _, _, positive = _region_facts(region)
+            positive = facts.positive
             if positive is None:
                 return _holds("no-positive-elements-to-sum")
             escape = "is infinite" if finite_only else "escapes the finite region"
@@ -251,8 +246,8 @@ def _check_region_family(family: Family, condition: str) -> Verdict:
         return _holds("region-closed-under-nonnegative-sums")
 
     # A5
-    _, (symmetric, witness), _ = _region_facts(region)
-    if symmetric:
+    witness = facts.asymmetric
+    if witness is None:
         return _holds("region-symmetric-on-singletons")
     return _fails(witness, f"{{{witness}}} is a member but {{{-witness}}} is not")
 
@@ -475,8 +470,7 @@ def witness_refutes(family: Family, condition: str, verdict: Verdict,
                     if tuple(add(p, shift) for p in m) == wraw:
                         return True
             return False
-        sample = _region_sample(family.region)
-        return sample is not None and len(w.points) == 1
+        return _region_facts(family.region).sample is not None and len(w.points) == 1
     if condition == "A4":
         if not contains(w):
             return False

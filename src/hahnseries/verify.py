@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .classify import classify_khull
-from .conditions import check_condition
+from .conditions import check_conditions
 from .errors import FieldTooSmall, TermBudgetExceeded
 from .fields import QQ, FieldDescriptor, is_strictly_positive, prime_field
 from .groups import INTEGERS, RATIONALS, TRIVIAL, group_zero, unit_sample
@@ -324,9 +324,10 @@ def check_equivalence_lemma(F: Family) -> Report:
     S1 and A1 stand or fall together."""
     params = {"family": F}
     citation = "nonempty-zero-singletons-generation-equivalence"
-    hypotheses = {name: check_condition(F, name) for name in ("S2", "A4", "A3")}
-    four = {name: check_condition(F, name) for name in ("S5", "S4", "S1", "A1")}
-    details = {name: str(v) for name, v in {**hypotheses, **four}.items()}
+    verdicts = check_conditions(F, ("S2", "A4", "A3", "S5", "S4", "S1", "A1"))
+    hypotheses = {name: verdicts[name] for name in ("S2", "A4", "A3")}
+    four = {name: verdicts[name] for name in ("S5", "S4", "S1", "A1")}
+    details = {name: str(v) for name, v in verdicts.items()}
     nontrivial = F.group.kind != "trivial"
     details["group_nontrivial"] = nontrivial
     unmet = [n for n, v in hypotheses.items() if not v.holds]
@@ -397,7 +398,7 @@ def brute_force_closure_probe(fld: FieldDescriptor, F: Family, op: str,
         raise FieldTooSmall("closure probing constructions need a field beyond F_2")
     params = {"field": fld, "family": F, "op": op}
     names, citation, probe_series = _CLOSURE_PROBES[op]
-    prediction = all(check_condition(F, n).holds for n in names)
+    prediction = all(v.holds for v in check_conditions(F, names).values())
     h = _probe_horizon(F)
     members = [SupportSet(F.group, m) for m in F.members]
     # the empty hull is not a group, so no members means not add-closed

@@ -1,5 +1,7 @@
+import io
 import random
 
+from hahnseries.cli import main
 from hahnseries.classify import FLAG_NAMES, classify_khull
 from hahnseries.fields import QQ, prime_field, rational_functions
 from hahnseries.groups import INTEGERS, TRIVIAL, group_zero
@@ -227,3 +229,35 @@ def test_char_zero_rayner_hahn_equivalence_on_random_families():
         if r.yes:
             verdicts = [check_condition(fam, n) for n in CONDITION_NAMES]
             assert all(v.holds for v in verdicts), str(fam)
+
+
+def test_has_identity_reads_the_subring_flag_after_the_implications():
+    # over F3 the ring converse is unavailable, yet S3 fails, so subring
+    # is no through the additive-subgroup implication
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["classify", "--family", "explicit{{1}}", "--field", "F3"], out, err) == 0
+    lines = out.getvalue().splitlines()
+    assert "  subring: no [subring-is-an-additive-subgroup] witness S2:{}" in lines
+    assert "  has_identity: no [not-a-subring]" in lines
+
+    rng = random.Random(2022)
+    families = []
+    for _ in range(80):
+        members = [
+            [zq(v) for v in rng.sample(range(-3, 4), rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        families.append(explicit_family(INTEGERS, members))
+    for _ in range(15):
+        gens = [zq(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+        for region in (whole_group(INTEGERS), nonneg_cone(INTEGERS), pos_cone(INTEGERS),
+                       submonoid(INTEGERS, gens), subgroup(INTEGERS, gens),
+                       finite_region(INTEGERS, gens + [zq(0)] * rng.randint(0, 1))):
+            families += [well_ordered_family(region), finite_subsets_family(region)]
+    for fld in (QQ, F2, prime_field(3), F5, F3X):
+        for fam in families:
+            c = classify_khull(fld, fam)
+            if c.flag("subring").no:
+                assert c.flag("has_identity").no, (str(fld), str(fam))
+            if c.flag("has_identity").yes:
+                assert c.flag("subring").yes, (str(fld), str(fam))

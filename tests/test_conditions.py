@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from hahnseries import conditions, supports
+from hahnseries.classify import classify_khull
 from hahnseries.conditions import (
     CONDITION_NAMES,
     check_condition,
+    check_conditions,
     witness_refutes,
 )
+from hahnseries.fields import QQ
 from hahnseries.groups import INTEGERS, RATIONALS, TRIVIAL, group_zero, lex_product
 from hahnseries.supports import (
     explicit_family,
@@ -261,6 +267,8 @@ def _random_element(rng, group):
                                       rng.choice((1, 2, 3))))
     if group == TRIVIAL:
         return group_zero(group)
+    if group == INTEGERS:
+        return zq(rng.randint(-6, 15))
     return group.element(tuple(rng.randint(-3, 5) for _ in range(group.rank)))
 
 
@@ -320,3 +328,41 @@ def test_negative_monoid_witnesses_are_confirmed():
         v = check_condition(F, cond)
         assert v.fails, cond
         assert witness_refutes(F, cond, v) is True, cond
+
+
+@pytest.mark.parametrize("family", [
+    W(submonoid(INTEGERS, [zq(2), zq(3)])),
+    FIN(submonoid(lex_product(3), [lex_product(3).element(v)
+                                   for v in ((1, 2, -3), (0, 1, 1), (3, -1, 2))])),
+], ids=str)
+def test_one_region_analysis_per_family(family, monkeypatch):
+    calls = []
+    real = supports.lineality_generators
+
+    def counted(gens):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(supports, "lineality_generators", counted)
+    monkeypatch.setattr(conditions, "lineality_generators", counted)
+    for run in (lambda: classify_khull(QQ, family), lambda: check_conditions(family)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_check_conditions_agrees_with_check_condition():
+    rng = random.Random(135)
+    families = [F for group in (INTEGERS, RATIONALS, lex_product(2), TRIVIAL)
+                for F in _random_region_families(rng, group, 8)]
+    families += [_random_explicit_family(rng, trivial=(i % 5 == 0)) for i in range(40)]
+    names = ("A5", "S1", "A2", "S4", "A3")
+    for F in families:
+        verdicts = check_conditions(F)
+        assert list(verdicts) == list(CONDITION_NAMES)
+        assert verdicts == {n: check_condition(F, n) for n in CONDITION_NAMES}, str(F)
+        some = check_conditions(F, names)
+        assert list(some) == list(names)
+        assert some == {n: verdicts[n] for n in names}, str(F)
+        with pytest.raises(ValueError, match="unknown condition 'S7'"):
+            check_conditions(F, ("S1", "S7"))
